@@ -12,7 +12,6 @@ import sys
 
 from . import __version__
 from .cones import (
-    all_horn_data,
     enumerate_horn,
     format_point,
     HornDatum,
@@ -31,9 +30,11 @@ from .rays import (
 from .hilbert import hilbert_basis_bounded
 from .oracle import sample_spectrum_sum, write_sample_report
 
-DEFAULT_RAY_CEILING = 6
-DEFAULT_HILBERT_CEILING = 5
-EXTENDED_RAY_CEILING = 9
+# The only time limits: r ceilings per command, (default, with --extended).
+# Ray enumeration recurses over every Horn facet and the Hilbert box grows
+# as C(r+B, r)^s, so cost climbs steeply with r. `facet` enumerates the rays
+# of two smaller cones and is held to the rays ceilings.
+R_CEILINGS = {"rays": (6, 9), "hilbert": (5, 7), "tables": (6, 9)}
 
 
 class CommandError(Exception):
@@ -71,21 +72,19 @@ def cmd_horn(args):
     _emit(args, payload, lines)
 
 
-def _ray_ceiling(args):
-    if args.extended:
-        print(f"warning: extended mode, lifting ray ceiling to r={EXTENDED_RAY_CEILING}",
-              file=sys.stderr)
-        return EXTENDED_RAY_CEILING
-    return DEFAULT_RAY_CEILING
+def _check_r(args, table, r, what="r"):
+    """Refuse, before any work, an r above the ceiling of `table`."""
+    default, extended = R_CEILINGS[table]
+    ceiling = extended if args.extended else default
+    if r > ceiling:
+        hint = "" if args.extended else f"; pass --extended to lift it to {extended}"
+        raise CommandError(f"{what}={r} exceeds the {table} ceiling {ceiling}{hint}")
 
 
 def cmd_rays(args):
     kind = normalize_kind(args.kind)
-    if args.r > _ray_ceiling(args):
-        raise CommandError(
-            f"r={args.r} exceeds the default ceiling {DEFAULT_RAY_CEILING}; "
-            "pass --extended to lift it")
-    rays = enumerate_rays(args.r, args.s, kind, ceiling=EXTENDED_RAY_CEILING)
+    _check_r(args, "rays", args.r)
+    rays = enumerate_rays(args.r, args.s, kind)
     lines = [f"# {len(rays)} rays of {kind}_{args.r}^{args.s}"] + rayset_lines(rays)
     payload = {"command": "rays",
                "params": {"r": args.r, "s": args.s, "kind": kind},
@@ -108,6 +107,7 @@ def _parse_facet(args):
 def cmd_facet(args):
     h = _parse_facet(args)
     kind = normalize_kind(args.kind)
+    _check_r(args, "rays", max(h.d, h.r - h.d), "max(d, r-d)")
     dec = facet_rays(h, kind)
     lines = [f"# facet {h} of {kind}_{args.r}^{args.s}", "# type I rays:"]
     lines += [f"  ({j},{a}) -> {format_point(p)}" for (j, a), p in dec.type1]
@@ -145,12 +145,7 @@ def cmd_member(args):
 
 def cmd_hilbert(args):
     kind = normalize_kind(args.kind)
-    ceiling = DEFAULT_HILBERT_CEILING if not args.extended else 7
-    if args.r > ceiling:
-        raise CommandError(
-            f"r={args.r} exceeds the hilbert ceiling {ceiling}; "
-            "pass --extended to lift it" if not args.extended else
-            f"r={args.r} exceeds even the extended ceiling {ceiling}")
+    _check_r(args, "hilbert", args.r)
     basis = hilbert_basis_bounded(args.r, args.s, kind, args.bound)
     lines = [f"# {len(basis.points)} indecomposable points of "
              f"{kind}_{args.r}^{args.s} with bound {args.bound}"]
@@ -165,22 +160,17 @@ def cmd_hilbert(args):
 def cmd_tables(args):
     if args.which not in ("ray-counts", "hilbert-counts"):
         raise CommandError(f"unknown table {args.which!r}")
-    ceiling = EXTENDED_RAY_CEILING if args.extended else DEFAULT_RAY_CEILING
-    if args.max_r > ceiling:
-        raise CommandError(f"--max-r {args.max_r} exceeds ceiling {ceiling}; "
-                           "pass --extended to lift it")
+    _check_r(args, "tables", args.max_r, "--max-r")
     rows = []
     for r in range(1, args.max_r + 1):
-        eq = len(enumerate_rays(r, args.s, "EqLR", ceiling=ceiling))
+        eq = enumerate_rays(r, args.s, "EqLR")
         if args.which == "ray-counts":
-            lr = len(enumerate_rays(r, args.s, "LR", ceiling=ceiling))
-            rows.append((r, lr, eq))
+            lr = enumerate_rays(r, args.s, "LR")
+            rows.append((r, len(lr), len(eq)))
         else:
-            bound = max(p[-1][0] for rs in (enumerate_rays(r, args.s, "EqLR",
-                                                           ceiling=ceiling),)
-                        for p in rs) + 1
+            bound = max(p[-1][0] for p in eq) + 1
             hb = hilbert_basis_bounded(r, args.s, "EqLR", bound)
-            rows.append((r, eq, len(hb.points)))
+            rows.append((r, len(eq), len(hb.points)))
     header = (("r", "LR", "EqLR") if args.which == "ray-counts"
               else ("r", "rays", "hilbert"))
     tsv = ["\t".join(header)] + ["\t".join(str(v) for v in row) for row in rows]
@@ -208,18 +198,17 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kind_default="eqlr"):
+    def common(p, extended=True):
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--s", type=int, default=3)
         p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
         p.add_argument("--output", default=None)
-        p.add_argument("--extended", action="store_true",
-                       help="lift resource ceilings (slow)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; computation is serial")
+        if extended:
+            p.add_argument("--extended", action="store_true",
+                           help="lift the r ceiling (slow)")
         return p
 
-    p = common(sub.add_parser("horn", help="enumerate Horn data"))
+    p = common(sub.add_parser("horn", help="enumerate Horn data"), extended=False)
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_horn)
 

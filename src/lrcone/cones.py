@@ -5,7 +5,6 @@ Fraction); the first s-1 blocks are the lambda^j, the last is nu. All
 arithmetic here is exact -- no floating point, no tolerances.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -14,7 +13,6 @@ from itertools import product
 from .partitions import (
     coef_of_subsets,
     d_subsets,
-    is_partition,
     multi_expand,
     pad,
     subpartitions,

@@ -17,6 +17,11 @@ import numpy as np
 from .partitions import partitions_in_box, subpartitions, weight
 from .cones import check_point, flatten, inequality_system, member, normalize_kind
 
+# The only memory guard: bytes the box search may allocate. The largest
+# search the acceptance suite runs, (r,s,B) = (5,3,4), needs about 3.2 GB;
+# (6,3,4) would need about 44 GB.
+SEARCH_BYTE_BUDGET = 4 * 10**9
+
 
 def _member_mask(flat_rows, r, s, kind):
     """Boolean mask of cone membership for an integer array of flat points."""
@@ -38,6 +43,14 @@ def lattice_points_bounded(r, s, kind, B):
     kind = normalize_kind(kind)
     parts = partitions_in_box(r, B)
     m = len(parts)
+    # bytes of the index array (n x s int64), the flat points (n x rs int64)
+    # and their float64 copy, and the n x forms float64 values
+    forms = len(inequality_system(r, s, kind).forms)
+    need = 8 * m ** s * (s + 2 * r * s + forms)
+    if need > SEARCH_BYTE_BUDGET:
+        raise ValueError(
+            f"the bounded search at r={r}, s={s}, B={B} would allocate about "
+            f"{need / 1e9:.1f} GB, over the {SEARCH_BYTE_BUDGET / 1e9:.0f} GB budget")
     part_arr = np.array(parts, dtype=np.int64)
     idx = np.indices((m,) * s).reshape(s, -1).T
     flat = np.concatenate([part_arr[idx[:, k]] for k in range(s)], axis=1)
@@ -60,17 +73,13 @@ class BoundedBasis:
     bound: int
     points: tuple
 
-    @property
-    def complete_up_to_bound(self):
-        return True
-
     def to_json(self):
         return {"r": self.r, "s": self.s, "kind": self.kind, "bound": self.bound,
-                "complete_up_to_bound": True, "count": len(self.points),
+                "count": len(self.points),
                 "points": [[list(b) for b in p] for p in self.points]}
 
 
-def hilbert_basis_bounded(r, s, kind, B, max_box=10**7):
+def hilbert_basis_bounded(r, s, kind, B):
     """All indecomposable lattice points with every block in the r x B box.
 
     Complete for the true Hilbert basis only insofar as the basis fits the
@@ -79,11 +88,6 @@ def hilbert_basis_bounded(r, s, kind, B, max_box=10**7):
     kind = normalize_kind(kind)
     if B < 1:
         raise ValueError(f"bound must be >= 1, got {B}")
-    nparts = len(partitions_in_box(r, B))
-    if nparts ** s > max_box:
-        raise ValueError(
-            f"search space {nparts}^{s} exceeds the resource guard {max_box}; "
-            "raise `max_box` explicitly to proceed")
     members = lattice_points_bounded(r, s, kind, B)
     member_set = {p for p in members}
     members.sort(key=lambda p: (sum(flatten(p)), flatten(p)))

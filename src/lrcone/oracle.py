@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import inequality_system, normalize_kind
+from .cones import inequality_system
 
 
 class LinealityError(ValueError):

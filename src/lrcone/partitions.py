@@ -8,7 +8,7 @@ which is stable by construction: trailing zeros never matter.
 """
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 
 # ---------------------------------------------------------------------------

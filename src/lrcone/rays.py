@@ -10,7 +10,7 @@ extremality certificate (tight-constraint rank = r*s - 1).
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -26,13 +26,10 @@ from .cones import (
     inequality_system,
     member,
     normalize_kind,
-    parse_point,
     point_scale,
     point_sub,
     zero_point,
 )
-
-DEFAULT_RANK_CEILING = 7
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +358,7 @@ def _base_candidates(r, s, kind):
     return []  # CSL_1 is the origin
 
 
-def enumerate_rays(r, s, kind, ceiling=DEFAULT_RANK_CEILING):
+def enumerate_rays(r, s, kind):
     """All extremal rays of the cone, as primitive integer points in
     canonical (lexicographic) order.
 
@@ -374,10 +371,6 @@ def enumerate_rays(r, s, kind, ceiling=DEFAULT_RANK_CEILING):
         raise ValueError(f"{kind} is not pointed; its extremal rays are not well-defined")
     if r < 1 or s < 3:
         raise ValueError(f"need r >= 1 and s >= 3, got r={r}, s={s}")
-    if r > ceiling:
-        raise ValueError(
-            f"r={r} exceeds the configured ceiling {ceiling}; ray enumeration "
-            "grows quickly -- raise `ceiling` explicitly to proceed")
     key = (r, s, kind)
     if key in _RAY_MEMO:
         return _RAY_MEMO[key]
@@ -390,7 +383,7 @@ def enumerate_rays(r, s, kind, ceiling=DEFAULT_RANK_CEILING):
         return rays
 
     if kind == "CSL":
-        rays = tuple(x for x in enumerate_rays(r, s, "LR", ceiling)
+        rays = tuple(x for x in enumerate_rays(r, s, "LR")
                      if member(x, "CSL"))
     else:
         candidates = []
@@ -401,7 +394,7 @@ def enumerate_rays(r, s, kind, ceiling=DEFAULT_RANK_CEILING):
                 candidates.extend(facet_rays(h, kind).ray_points())
             candidates.extend(special_rays(r, s))
             if kind == "EqLR":
-                candidates.extend(enumerate_rays(r, s, "LR", ceiling))
+                candidates.extend(enumerate_rays(r, s, "LR"))
         rays = set()
         for x in candidates:
             if not any(flatten(x)):
@@ -414,11 +407,23 @@ def enumerate_rays(r, s, kind, ceiling=DEFAULT_RANK_CEILING):
         rays = tuple(sorted(rays, key=flatten))
     _RAY_MEMO[key] = rays
     if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump({"r": r, "s": s, "kind": kind, "count": len(rays),
-                       "rays": [[list(b) for b in p] for p in rays]}, fh)
+        _write_cache(path, rayset_json(r, s, kind, rays))
     return rays
+
+
+def _write_cache(path, payload):
+    """Write through a temp file and a rename, so that a run killed midway
+    leaves either no file or the whole one at `path`."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def rayset_lines(rays):

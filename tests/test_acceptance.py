@@ -39,8 +39,8 @@ def verdict(n, ok=True):
 
 def test_criterion_1_ray_counts():
     for r in range(1, 6):
-        assert len(enumerate_rays(r, 3, "LR", ceiling=7)) == LR_COUNTS[r], r
-        assert len(enumerate_rays(r, 3, "EqLR", ceiling=7)) == EQLR_COUNTS[r], r
+        assert len(enumerate_rays(r, 3, "LR")) == LR_COUNTS[r], r
+        assert len(enumerate_rays(r, 3, "EqLR")) == EQLR_COUNTS[r], r
     verdict(1)
 
 
@@ -106,7 +106,7 @@ def test_criterion_4_hilbert_basis():
     # basis needs B=4 (see test_criterion_4_r5_at_stated_bound)
     basis5 = hilbert_basis_bounded(5, 3, "EqLR", 4)
     assert len(basis5.points) == 195
-    assert set(basis5.points) == set(enumerate_rays(5, 3, "EqLR", ceiling=7))
+    assert set(basis5.points) == set(enumerate_rays(5, 3, "EqLR"))
     # r=6 extras: found by the bounded search, indecomposable, on no ray
     basis6 = hilbert_basis_bounded(6, 3, "EqLR", 3)
     for text in R6_EXTRAS:

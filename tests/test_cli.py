@@ -65,7 +65,6 @@ def test_hilbert_json_schema(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema())
     assert payload["result"]["count"] == 10
-    assert payload["result"]["complete_up_to_bound"] is True
 
 
 def test_facet_worked_example(capsys):
@@ -105,6 +104,35 @@ def test_rays_ceiling_requires_extended(capsys):
     code, _, err = run(capsys, "rays", "--r", "7")
     assert code == 2
     assert "--extended" in err
+
+
+FACET = ["--I", "{1};{1}", "--K", "{1}"]
+
+
+@pytest.mark.parametrize("argv, suggests_extended", [
+    (["rays", "--r", "8"], True),
+    (["rays", "--r", "10", "--extended"], False),
+    (["facet", "--r", "8", *FACET], True),  # enumerates the rays at r-d = 7
+    (["facet", "--r", "11", *FACET, "--extended"], False),
+    (["hilbert", "--r", "6", "--bound", "1"], True),
+    (["hilbert", "--r", "8", "--bound", "1", "--extended"], False),
+    # within the r ceiling, over the Hilbert byte budget (about 44 GB)
+    (["hilbert", "--r", "6", "--bound", "4", "--extended"], False),
+    (["tables", "--which", "ray-counts", "--max-r", "7"], True),
+    (["tables", "--which", "ray-counts", "--max-r", "10", "--extended"], False),
+    # options that did nothing are argparse errors now
+    (["horn", "--r", "2", "--d", "1", "--threads", "2"], False),
+    (["horn", "--r", "2", "--d", "1", "--extended"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_refused_at_once(capsys, argv, suggests_extended):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error" in captured.err
+    assert ("pass --extended" in captured.err) == suggests_extended
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Bounded Hilbert-basis search and indecomposability."""
 
+import numpy as np
 import pytest
 
 from lrcone.cones import member, parse_point, point_add
@@ -57,7 +58,6 @@ def test_bounded_basis_counts_match_ray_counts():
         basis = hilbert_basis_bounded(r, 3, "EqLR", 3)
         assert len(basis.points) == expected
         assert set(basis.points) == set(enumerate_rays(r, 3, "EqLR"))
-        assert basis.complete_up_to_bound
 
 
 def test_bounded_basis_lr():
@@ -75,13 +75,17 @@ def test_basis_to_json():
     basis = hilbert_basis_bounded(1, 3, "LR", 2)
     js = basis.to_json()
     assert js["count"] == len(basis.points)
-    assert js["complete_up_to_bound"] is True
     assert js["bound"] == 2
 
 
-def test_resource_guard():
-    with pytest.raises(ValueError):
-        hilbert_basis_bounded(6, 3, "EqLR", 6, max_box=1000)
+def test_resource_guard(monkeypatch):
+    # (6,3,B=4) would allocate about 44 GB; the byte guard refuses it
+    # before the box of candidate points is built
+    def build_box(*args, **kwargs):
+        raise AssertionError("the box was built")
+    monkeypatch.setattr(np, "indices", build_box)
+    with pytest.raises(ValueError, match="budget"):
+        hilbert_basis_bounded(6, 3, "EqLR", 4)
     with pytest.raises(ValueError):
         hilbert_basis_bounded(2, 3, "EqLR", 0)
 

@@ -1,9 +1,11 @@
 """The facet algorithm and cone-level ray enumeration."""
 
+import json
 import random
 
 import pytest
 
+from lrcone import rays
 from lrcone.cones import (
     HornDatum,
     all_horn_data,
@@ -278,6 +280,27 @@ def test_diagonal_no_facet_check():
 
 def test_enumerate_rays_ceiling():
     with pytest.raises(ValueError):
-        enumerate_rays(8, 3, "EqLR")
-    with pytest.raises(ValueError):
         enumerate_rays(3, 3, "EqC")
+
+
+def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
+    monkeypatch.setenv(rays.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(rays, "_RAY_MEMO", {})
+    dump = json.dump
+
+    def killed_midway(obj, fh):
+        fh.write('{"r": 1, "s": 3, "kind": "LR", "count": 2, "rays": [[')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "dump", killed_midway)
+    with pytest.raises(KeyboardInterrupt):
+        enumerate_rays(2, 3, "EqLR")
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.setattr(json, "dump", dump)
+    rays._RAY_MEMO.clear()
+    found = enumerate_rays(2, 3, "EqLR")
+    cached = json.loads((tmp_path / "rays-r2-s3-eqlr.json").read_text())
+    assert cached == rays.rayset_json(2, 3, "EqLR", found)
+    rays._RAY_MEMO.clear()
+    assert enumerate_rays(2, 3, "EqLR") == found  # read back from disk
