@@ -30,11 +30,13 @@ from .rays import (
 from .hilbert import hilbert_basis_bounded
 from .oracle import sample_spectrum_sum, write_sample_report
 
-# The only time limits: r ceilings per command, (default, with --extended).
-# Ray enumeration recurses over every Horn facet and the Hilbert box grows
-# as C(r+B, r)^s, so cost climbs steeply with r. `facet` enumerates the rays
-# of two smaller cones and is held to the rays ceilings.
-R_CEILINGS = {"rays": (6, 9), "hilbert": (5, 7), "tables": (6, 9)}
+# The only time limits: per command, the r and the s ceilings, each as
+# (default, with --extended). Ray enumeration recurses over every Horn facet
+# (data over s-1 subsets) and the Hilbert box grows as C(r+B, r)^s, so cost
+# climbs steeply with r and s. `facet` enumerates the rays of two smaller
+# cones and is held to the rays ceilings.
+CEILINGS = {"rays": ((6, 9), (5, 8)), "hilbert": ((5, 7), (5, 8)),
+            "tables": ((6, 9), (5, 8))}
 
 
 class CommandError(Exception):
@@ -43,13 +45,11 @@ class CommandError(Exception):
         self.code = code
 
 
-def _emit(args, payload, text_lines, tsv_lines=None):
+def _emit(args, payload, lines):
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True)
-    elif args.format == "tsv":
-        out = "\n".join(tsv_lines if tsv_lines is not None else text_lines)
     else:
-        out = "\n".join(text_lines)
+        out = "\n".join(lines)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(out + "\n")
@@ -72,18 +72,21 @@ def cmd_horn(args):
     _emit(args, payload, lines)
 
 
-def _check_r(args, table, r, what="r"):
-    """Refuse, before any work, an r above the ceiling of `table`."""
-    default, extended = R_CEILINGS[table]
-    ceiling = extended if args.extended else default
-    if r > ceiling:
-        hint = "" if args.extended else f"; pass --extended to lift it to {extended}"
-        raise CommandError(f"{what}={r} exceeds the {table} ceiling {ceiling}{hint}")
+def _check_ceilings(args, table, r, what="r"):
+    """Refuse, before any work, an r or an s above the ceilings of `table`."""
+    for name, value, (default, extended) in zip((what, "s"), (r, args.s),
+                                                  CEILINGS[table]):
+        ceiling = extended if args.extended else default
+        if value > ceiling:
+            hint = (f"; pass --extended to lift it to {extended}"
+                    if value <= extended else "")
+            raise CommandError(
+                f"{name}={value} exceeds the {table} ceiling {ceiling}{hint}")
 
 
 def cmd_rays(args):
     kind = normalize_kind(args.kind)
-    _check_r(args, "rays", args.r)
+    _check_ceilings(args, "rays", args.r)
     rays = enumerate_rays(args.r, args.s, kind)
     lines = [f"# {len(rays)} rays of {kind}_{args.r}^{args.s}"] + rayset_lines(rays)
     payload = {"command": "rays",
@@ -98,6 +101,7 @@ def _parse_facet(args):
     d = len(K)
     if len(Is) != args.s - 1:
         raise CommandError(f"expected {args.s - 1} subsets in --I, got {len(Is)}")
+    _check_ceilings(args, "rays", max(d, args.r - d), "max(d, r-d)")
     try:
         return HornDatum(args.r, args.s, d, Is, K).check()
     except ValueError as exc:
@@ -107,7 +111,6 @@ def _parse_facet(args):
 def cmd_facet(args):
     h = _parse_facet(args)
     kind = normalize_kind(args.kind)
-    _check_r(args, "rays", max(h.d, h.r - h.d), "max(d, r-d)")
     dec = facet_rays(h, kind)
     lines = [f"# facet {h} of {kind}_{args.r}^{args.s}", "# type I rays:"]
     lines += [f"  ({j},{a}) -> {format_point(p)}" for (j, a), p in dec.type1]
@@ -145,7 +148,7 @@ def cmd_member(args):
 
 def cmd_hilbert(args):
     kind = normalize_kind(args.kind)
-    _check_r(args, "hilbert", args.r)
+    _check_ceilings(args, "hilbert", args.r)
     basis = hilbert_basis_bounded(args.r, args.s, kind, args.bound)
     lines = [f"# {len(basis.points)} indecomposable points of "
              f"{kind}_{args.r}^{args.s} with bound {args.bound}"]
@@ -160,7 +163,7 @@ def cmd_hilbert(args):
 def cmd_tables(args):
     if args.which not in ("ray-counts", "hilbert-counts"):
         raise CommandError(f"unknown table {args.which!r}")
-    _check_r(args, "tables", args.max_r, "--max-r")
+    _check_ceilings(args, "tables", args.max_r, "--max-r")
     rows = []
     for r in range(1, args.max_r + 1):
         eq = enumerate_rays(r, args.s, "EqLR")
@@ -177,7 +180,7 @@ def cmd_tables(args):
     payload = {"command": "tables",
                "params": {"which": args.which, "s": args.s, "max_r": args.max_r},
                "result": {"header": list(header), "rows": [list(r) for r in rows]}}
-    _emit(args, payload, tsv, tsv)
+    _emit(args, payload, tsv)
 
 
 def cmd_sample(args):
@@ -205,7 +208,7 @@ def build_parser():
         p.add_argument("--output", default=None)
         if extended:
             p.add_argument("--extended", action="store_true",
-                           help="lift the r ceiling (slow)")
+                           help="lift the r and s ceilings (slow)")
         return p
 
     p = common(sub.add_parser("horn", help="enumerate Horn data"), extended=False)

@@ -161,11 +161,11 @@ def is_indecomposable(x, kind):
     return decomposition_witness(x, kind) is None
 
 
-def first_lattice_points(rays, kind, check=True):
+def first_lattice_points(rays, kind):
     """The primitive points of a ray set, verified indecomposable."""
     out = []
     for p in rays:
-        if check and not is_indecomposable(p, kind):
+        if not is_indecomposable(p, kind):
             raise AssertionError(
                 f"primitive ray point {p} is decomposable; extremality and "
                 "primitivity should forbid this")

@@ -154,7 +154,10 @@ def _random_unitary(rng, r):
     return q * (np.diag(rad) / np.abs(np.diag(rad)))
 
 
-def sample_spectrum_sum(spectra, mode, trials, seed, perturbation_scale=0.5):
+PERTURBATION_SCALE = 0.5  # majorized mode subtracts this times g g* / r
+
+
+def sample_spectrum_sum(spectra, mode, trials, seed):
     """Conjugate diagonal matrices by random unitaries, sum, and (in
     majorized mode) subtract a random PSD perturbation; deterministic
     under a fixed seed."""
@@ -176,7 +179,7 @@ def sample_spectrum_sum(spectra, mode, trials, seed, perturbation_scale=0.5):
             total += u @ np.diag(vec) @ u.conj().T
         if mode == "majorized":
             g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            total -= perturbation_scale * (g @ g.conj().T) / r
+            total -= PERTURBATION_SCALE * (g @ g.conj().T) / r
         eigs = tuple(sorted(np.linalg.eigvalsh(total).tolist(), reverse=True))
         samples.append(SpectrumSample(
             spectra, eigs, mode, spectrum_violation(spectra, eigs, mode)))

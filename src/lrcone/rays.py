@@ -296,15 +296,13 @@ class FacetDecomposition:
     type2_zero: int              # number of product rays mapping to 0
     type2_nonextremal: tuple     # nonzero, non-extremal images
 
-    def ray_points(self):
-        seen = []
-        for _, p in self.type1:
-            if p not in seen:
-                seen.append(p)
-        for p in self.type2_extremal:
-            if p not in seen:
-                seen.append(p)
-        return tuple(seen)
+
+def _facet_images(h, kind):
+    """The induction images of the rays of the two smaller cones of h: the
+    rank-d LR rays first, then the rank-(r-d) rays of `kind`."""
+    d, r, s = h.d, h.r, h.s
+    return ([ind_hat(a, zero_point(r - d, s), h) for a in enumerate_rays(d, s, "LR")]
+            + [ind_hat(zero_point(d, s), b, h) for b in enumerate_rays(r - d, s, kind)])
 
 
 def facet_rays(h, kind):
@@ -313,26 +311,12 @@ def facet_rays(h, kind):
     kind = normalize_kind(kind)
     if kind not in ("LR", "EqLR"):
         raise ValueError("facet decomposition applies to LR and EqLR only")
-    d = h.d
-    sub_a = enumerate_rays(d, h.s, "LR")
-    sub_b = enumerate_rays(h.r - d, h.s, kind)
-    pairs = ([(a, zero_point(h.r - d, h.s)) for a in sub_a]
-             + [(zero_point(d, h.s), b) for b in sub_b])
-    extremal, nonextremal = [], []
-    zeros = 0
-    for xd, y in pairs:
-        z = ind_hat(xd, y, h)
-        if not any(flatten(z)):
-            zeros += 1
-            continue
-        p = primitive(z)
-        if is_extremal(p, kind):
-            if p not in extremal:
-                extremal.append(p)
-        else:
-            nonextremal.append(p)
-    return FacetDecomposition(h, kind, _type1_rays(h), tuple(extremal),
-                              zeros, tuple(nonextremal))
+    images = _facet_images(h, kind)
+    nonzero = [primitive(z) for z in images if any(flatten(z))]
+    extremal = {p: is_extremal(p, kind) for p in nonzero}
+    return FacetDecomposition(
+        h, kind, _type1_rays(h), tuple(p for p, e in extremal.items() if e),
+        len(images) - len(nonzero), tuple(p for p in nonzero if not extremal[p]))
 
 
 _RAY_MEMO = {}
@@ -347,24 +331,39 @@ def _cache_path(r, s, kind):
 
 
 def _base_candidates(r, s, kind):
+    """Candidates for the rays of LR_1 or EqLR_1 (CSL_1 is the origin)."""
     if kind == "LR":
         return [x_ray(j, r, s) for j in range(1, s)]
-    if kind == "EqLR":
-        out = []
-        for mask in product((0, 1), repeat=s - 1):
-            if any(mask):
-                out.append(tuple((m,) * r for m in mask) + ((1,) * r,))
-        return out
-    return []  # CSL_1 is the origin
+    return [tuple((m,) * r for m in mask) + ((1,) * r,)
+            for mask in product((0, 1), repeat=s - 1) if any(mask)]
+
+
+def _read_cache(path, r, s, kind):
+    """The ray set cached at `path`, or None if there is none or it fails a
+    check: key and count match; points sorted, distinct, integer, nonzero
+    (`primitive` refuses 0), primitive, in the cone. Extremality is unchecked."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        rays = tuple(check_point(p, r, s) for p in data["rays"])
+        flats = [flatten(p) for p in rays]
+        ok = ((data["r"], data["s"], data["kind"], data["count"])
+              == (r, s, kind, len(rays))
+              and all(a < b for a, b in zip(flats, flats[1:]))
+              and all(all(type(v) is int for v in f) and primitive(p) == p
+                      and member(p, kind) for f, p in zip(flats, rays)))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return rays if ok else None
 
 
 def enumerate_rays(r, s, kind):
     """All extremal rays of the cone, as primitive integer points in
     canonical (lexicographic) order.
 
-    Candidates are over-generated -- every Horn facet's type I and type II
-    rays, the omega-tuple family, and (for EqLR) the rays of the LR face --
-    then every candidate is re-certified by the exact extremality test.
+    Candidates are pooled -- every Horn facet's type I rays and induction
+    images, the omega-tuple family, and (for EqLR) the rays of the LR face --
+    and each distinct candidate is certified once by the exact test.
     """
     kind = normalize_kind(kind)
     if kind not in ("CSL", "LR", "EqLR"):
@@ -375,10 +374,8 @@ def enumerate_rays(r, s, kind):
     if key in _RAY_MEMO:
         return _RAY_MEMO[key]
     path = _cache_path(r, s, kind)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        rays = tuple(tuple(tuple(b) for b in p) for p in data["rays"])
+    rays = _read_cache(path, r, s, kind) if path else None
+    if rays is not None:
         _RAY_MEMO[key] = rays
         return rays
 
@@ -386,25 +383,19 @@ def enumerate_rays(r, s, kind):
         rays = tuple(x for x in enumerate_rays(r, s, "LR")
                      if member(x, "CSL"))
     else:
-        candidates = []
         if r == 1:
-            candidates.extend(_base_candidates(r, s, kind))
+            candidates = _base_candidates(r, s, kind)
         else:
+            # an omega-tuple whose k's sum past l lies outside LR
+            candidates = [x for x in special_rays(r, s) if member(x, kind)]
             for h in all_horn_data(r, s):
-                candidates.extend(facet_rays(h, kind).ray_points())
-            candidates.extend(special_rays(r, s))
+                candidates += [p for _, p in _type1_rays(h)]
+                candidates += _facet_images(h, kind)
             if kind == "EqLR":
-                candidates.extend(enumerate_rays(r, s, "LR"))
-        rays = set()
-        for x in candidates:
-            if not any(flatten(x)):
-                continue
-            p = primitive(x)
-            if p in rays:
-                continue
-            if member(p, kind) and is_extremal(p, kind):
-                rays.add(p)
-        rays = tuple(sorted(rays, key=flatten))
+                candidates += enumerate_rays(r, s, "LR")
+        distinct = {primitive(x) for x in candidates if any(flatten(x))}
+        rays = tuple(sorted((p for p in distinct if is_extremal(p, kind)),
+                            key=flatten))
     _RAY_MEMO[key] = rays
     if path:
         _write_cache(path, rayset_json(r, s, kind, rays))

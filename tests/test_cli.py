@@ -120,6 +120,14 @@ FACET = ["--I", "{1};{1}", "--K", "{1}"]
     (["hilbert", "--r", "6", "--bound", "4", "--extended"], False),
     (["tables", "--which", "ray-counts", "--max-r", "7"], True),
     (["tables", "--which", "ray-counts", "--max-r", "10", "--extended"], False),
+    # s ceilings: 5 by default, 8 with --extended
+    (["rays", "--r", "2", "--s", "12"], False),
+    (["rays", "--r", "2", "--s", "6"], True),
+    (["rays", "--r", "2", "--s", "9", "--extended"], False),
+    (["facet", "--r", "2", "--s", "6", "--I", "{1};{1};{1};{1};{1}", "--K", "{1}"],
+     True),
+    (["hilbert", "--r", "2", "--s", "6", "--bound", "1"], True),
+    (["tables", "--which", "ray-counts", "--max-r", "2", "--s", "6"], True),
     # options that did nothing are argparse errors now
     (["horn", "--r", "2", "--d", "1", "--threads", "2"], False),
     (["horn", "--r", "2", "--d", "1", "--extended"], False),

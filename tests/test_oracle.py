@@ -37,6 +37,13 @@ def test_dd_matches_recursive_enumeration():
         set(enumerate_rays(3, 3, "EqLR"))
 
 
+@pytest.mark.parametrize("r, s", [(1, 4), (2, 4), (3, 4), (1, 5), (2, 5)])
+@pytest.mark.parametrize("kind", ["CSL", "LR", "EqLR"])
+def test_dd_matches_recursive_enumeration_s4_s5(r, s, kind):
+    assert set(dd_rays(inequality_system(r, s, kind), ceiling=r * s)) == \
+        set(enumerate_rays(r, s, kind))
+
+
 def test_dd_lineality():
     # C and EqC contain lines (simultaneous trace shifts)
     with pytest.raises(LinealityError):

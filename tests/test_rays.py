@@ -2,10 +2,12 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from lrcone import rays
+from lrcone.cli import main
 from lrcone.cones import (
     HornDatum,
     all_horn_data,
@@ -304,3 +306,70 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
     assert cached == rays.rayset_json(2, 3, "EqLR", found)
     rays._RAY_MEMO.clear()
     assert enumerate_rays(2, 3, "EqLR") == found  # read back from disk
+
+
+def test_each_candidate_certified_once(monkeypatch):
+    monkeypatch.delenv(rays.CACHE_ENV, raising=False)
+    monkeypatch.setattr(rays, "_RAY_MEMO", {})
+    seen = Counter()
+    certify_ = rays.certify
+
+    def counting(x, kind):
+        seen[(x, kind)] += 1
+        return certify_(x, kind)
+
+    monkeypatch.setattr(rays, "certify", counting)
+    assert len(enumerate_rays(3, 3, "EqLR")) == 27
+    assert seen and max(seen.values()) == 1
+
+
+def _corrupt(payload, how):
+    if how == "non-member":  # 9,9;0,0;1,0 breaks containment nu >= lam
+        payload.update(count=1, rays=[[[9, 9], [0, 0], [1, 0]]])
+    elif how == "key":
+        payload["s"] = 4
+    elif how == "count":
+        payload["count"] -= 1
+    elif how == "unsorted":
+        payload["rays"].reverse()
+    elif how == "duplicate":
+        payload["rays"][1] = payload["rays"][0]
+    elif how == "zero":
+        payload["rays"][0] = [[0, 0], [0, 0], [0, 0]]
+    elif how == "non-primitive":
+        payload["rays"][-1] = [[2 * v for v in b] for b in payload["rays"][-1]]
+    elif how == "float":
+        payload["rays"][-1] = [[float(v) for v in b] for b in payload["rays"][-1]]
+    elif how == "shape":
+        payload["rays"][0] = payload["rays"][0][:2]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("how", ["non-member", "key", "count", "unsorted",
+                                 "duplicate", "zero", "non-primitive", "float",
+                                 "shape", "not json"])
+def test_disk_cache_serves_only_what_it_can_check(tmp_path, monkeypatch,
+                                                  capsys, how):
+    monkeypatch.setenv(rays.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(rays, "_RAY_MEMO", {})
+    found = enumerate_rays(2, 3, "EqLR")
+    expected = rays.rayset_json(2, 3, "EqLR", found)
+    path = tmp_path / "rays-r2-s3-eqlr.json"
+    text = "{not json" if how == "not json" else _corrupt(json.loads(
+        json.dumps(expected)), how)
+    path.write_text(text)
+    rays._RAY_MEMO.clear()
+    assert main(["rays", "--r", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["# 10 rays of EqLR_2^3"] + rays.rayset_lines(found)
+    assert path.read_text() == json.dumps(expected)  # recomputed and rewritten
+
+
+def test_disk_cache_serves_a_valid_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(rays.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(rays, "_RAY_MEMO", {})
+    found = enumerate_rays(3, 3, "EqLR")
+    rays._RAY_MEMO.clear()
+    monkeypatch.setattr(rays, "certify", None)  # a recomputation would fail
+    assert enumerate_rays(3, 3, "EqLR") == found
+    assert len(list(tmp_path.iterdir())) == 6  # LR and EqLR at r = 1, 2, 3
