@@ -8,6 +8,7 @@ emits a single object validating against the schema shipped as
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -27,7 +28,7 @@ from .rays import (
     rayset_json,
     rayset_lines,
 )
-from .hilbert import hilbert_basis_bounded
+from .hilbert import check_search_budget, hilbert_basis_bounded
 from .oracle import sample_spectrum_sum, write_sample_report
 
 # The only time limits: per command, the r and the s ceilings, each as
@@ -164,16 +165,19 @@ def cmd_tables(args):
     if args.which not in ("ray-counts", "hilbert-counts"):
         raise CommandError(f"unknown table {args.which!r}")
     _check_ceilings(args, "tables", args.max_r, "--max-r")
-    rows = []
-    for r in range(1, args.max_r + 1):
-        eq = enumerate_rays(r, args.s, "EqLR")
-        if args.which == "ray-counts":
-            lr = enumerate_rays(r, args.s, "LR")
-            rows.append((r, len(lr), len(eq)))
-        else:
-            bound = max(p[-1][0] for p in eq) + 1
-            hb = hilbert_basis_bounded(r, args.s, "EqLR", bound)
-            rows.append((r, len(eq), len(hb.points)))
+    eqs = {r: enumerate_rays(r, args.s, "EqLR") for r in range(1, args.max_r + 1)}
+    if args.which == "ray-counts":
+        rows = [(r, len(enumerate_rays(r, args.s, "LR")), len(eq))
+                for r, eq in eqs.items()]
+    else:
+        # the bound of row r is one more than the largest part of its rays;
+        # every bound is checked against the byte budget before any search
+        bounds = {r: max(p[-1][0] for p in eq) + 1 for r, eq in eqs.items()}
+        for r, bound in bounds.items():
+            check_search_budget(r, args.s, "EqLR", bound)
+        rows = [(r, len(eq),
+                 len(hilbert_basis_bounded(r, args.s, "EqLR", bounds[r]).points))
+                for r, eq in eqs.items()]
     header = (("r", "LR", "EqLR") if args.which == "ray-counts"
               else ("r", "rays", "hilbert"))
     tsv = ["\t".join(header)] + ["\t".join(str(v) for v in row) for row in rows]
@@ -261,6 +265,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head -1`); send what is still
+        # buffered to devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

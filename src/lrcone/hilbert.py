@@ -1,13 +1,22 @@
 """Indecomposability and bounded Hilbert-basis search for the lattice
 semigroups LR_r^s and EqLR_r^s intersected with Z^{rs}.
 
-The bounded search enumerates every partition tuple in the r x B box,
+The bounded search enumerates every partition tuple in the r x B box and
 filters membership in batch (integer arithmetic through float64 matmuls,
-exact because all values are tiny), and then sieves for indecomposables.
-The sieve uses the semigroup identity: a member is decomposable iff
-subtracting some already-found basis element of smaller weight leaves a
-nonzero member. This is equivalent to the pairwise-summand definition and
-avoids a quadratic pass over all members.
+exact because all values are tiny). It then sieves the members for
+indecomposables, layer by layer in weight, following the degree-layered
+reduction of Bruns & Ichim, "Normaliz: algorithms for affine monoids and
+rational cones", J. Algebra 324 (2010).
+
+The sieve uses the semigroup identity: a member x is decomposable iff
+x - h is a nonzero member for some basis element h of smaller weight with
+h <= x. This is equivalent to the pairwise-summand definition and avoids a
+quadratic pass over all members. Each member row gets an exact mixed-radix
+code, base B+1 per coordinate, so the code of x - h is code(x) - code(h)
+whenever h <= x, and membership of x - h is one binary search in the
+sorted member codes. Two members of the same weight never decompose one
+another, so each weight layer is decided in one batch against the basis
+elements found in the layers below it.
 """
 
 from dataclasses import dataclass
@@ -23,26 +32,10 @@ from .cones import check_point, flatten, inequality_system, member, normalize_ki
 SEARCH_BYTE_BUDGET = 4 * 10**9
 
 
-def _member_mask(flat_rows, r, s, kind):
-    """Boolean mask of cone membership for an integer array of flat points."""
-    sys = inequality_system(r, s, kind)
-    mat, rels = sys.matrix()
-    vals = flat_rows.astype(np.float64) @ mat.T.astype(np.float64)
-    ok = np.ones(len(flat_rows), dtype=bool)
-    for idx, rel in enumerate(rels):
-        if rel == "==":
-            ok &= vals[:, idx] == 0
-        else:
-            ok &= vals[:, idx] >= 0
-    return ok
-
-
-def lattice_points_bounded(r, s, kind, B):
-    """All nonzero lattice points of the cone whose blocks fit in the
-    r x B box, as block tuples."""
-    kind = normalize_kind(kind)
-    parts = partitions_in_box(r, B)
-    m = len(parts)
+def check_search_budget(r, s, kind, B):
+    """Raise ValueError, before anything is allocated, if the bounded
+    search at (r, s, B) would need more than SEARCH_BYTE_BUDGET bytes."""
+    m = len(partitions_in_box(r, B))
     # bytes of the index array (n x s int64), the flat points (n x rs int64)
     # and their float64 copy, and the n x forms float64 values
     forms = len(inequality_system(r, s, kind).forms)
@@ -51,18 +44,82 @@ def lattice_points_bounded(r, s, kind, B):
         raise ValueError(
             f"the bounded search at r={r}, s={s}, B={B} would allocate about "
             f"{need / 1e9:.1f} GB, over the {SEARCH_BYTE_BUDGET / 1e9:.0f} GB budget")
-    part_arr = np.array(parts, dtype=np.int64)
-    idx = np.indices((m,) * s).reshape(s, -1).T
-    flat = np.concatenate([part_arr[idx[:, k]] for k in range(s)], axis=1)
-    mask = _member_mask(flat, r, s, kind)
-    rows = flat[mask]
-    out = []
-    for row in rows:
-        if not row.any():
-            continue
-        out.append(tuple(tuple(int(v) for v in row[k * r:(k + 1) * r])
-                         for k in range(s)))
-    return out
+
+
+def _member_mask(flat_rows, r, s, kind):
+    """Boolean mask of cone membership for an integer array of flat points."""
+    mat, rels = inequality_system(r, s, kind).matrix()
+    # one row of values per form, so that each comparison reads contiguously
+    vals = mat.astype(np.float64) @ flat_rows.T.astype(np.float64)
+    ok = np.ones(len(flat_rows), dtype=bool)
+    for form, rel in zip(vals, rels):
+        if rel == "==":
+            ok &= form == 0
+        else:
+            ok &= form >= 0
+    return ok
+
+
+def _member_rows(r, s, kind, B):
+    """The nonzero lattice points of the cone in the r x B box, as an int64
+    array of flat rows (block after block), in box order."""
+    check_search_budget(r, s, kind, B)
+    part_arr = np.array(partitions_in_box(r, B), dtype=np.int64)
+    # the index array is freed before the mask is evaluated
+    flat = np.concatenate([part_arr[idx] for idx in
+                           np.indices((len(part_arr),) * s).reshape(s, -1)], axis=1)
+    rows = flat[_member_mask(flat, r, s, kind)]
+    return rows[rows.any(axis=1)]
+
+
+def _blocks(row, r):
+    """A flat row (list of ints) as a tuple of r-part blocks."""
+    return tuple(tuple(row[k:k + r]) for k in range(0, len(row), r))
+
+
+def lattice_points_bounded(r, s, kind, B):
+    """All nonzero lattice points of the cone whose blocks fit in the
+    r x B box, as block tuples."""
+    kind = normalize_kind(kind)
+    return [_blocks(row, r) for row in _member_rows(r, s, kind, B).tolist()]
+
+
+def _code_base(r, s, B):
+    """The radix B+1 of the member codes, once it is known that every code
+    (a number below (B+1)**(r*s)) fits in an int64."""
+    if (B + 1) ** (r * s) >= 2**63:
+        raise ValueError(
+            f"the codes of the bounded search at r={r}, s={s}, B={B} need "
+            f"(B+1)**(r*s) = {B + 1}**{r * s} < 2**63 to fit in int64")
+    return B + 1
+
+
+def _sieve(rows, base):
+    """The indecomposable rows among the member rows `rows` (every entry
+    below `base`), in weight order."""
+    codes = rows @ base ** np.arange(rows.shape[1], dtype=np.int64)
+    known = np.sort(codes)
+    weights = rows.sum(axis=1)
+    order = np.argsort(weights, kind="stable")
+    cuts = np.flatnonzero(np.diff(weights[order])) + 1
+    basis_rows, basis_codes = [], []
+    for layer in np.split(order, cuts):
+        # the rows of this layer not yet shown decomposable
+        left_rows, left_codes = rows[layer], codes[layer]
+        for h, code in zip(basis_rows, basis_codes):
+            test = np.flatnonzero((left_rows >= h).all(axis=1))
+            if not len(test):
+                continue
+            rest = left_codes[test] - code
+            at = np.minimum(np.searchsorted(known, rest), len(known) - 1)
+            keep = np.ones(len(left_rows), dtype=bool)
+            keep[test[known[at] == rest]] = False
+            left_rows, left_codes = left_rows[keep], left_codes[keep]
+            if not len(left_rows):
+                break
+        basis_rows.extend(left_rows)
+        basis_codes.extend(left_codes)
+    return basis_rows
 
 
 @dataclass(frozen=True)
@@ -88,28 +145,10 @@ def hilbert_basis_bounded(r, s, kind, B):
     kind = normalize_kind(kind)
     if B < 1:
         raise ValueError(f"bound must be >= 1, got {B}")
-    members = lattice_points_bounded(r, s, kind, B)
-    member_set = {p for p in members}
-    members.sort(key=lambda p: (sum(flatten(p)), flatten(p)))
-    basis = []
-    for x in members:
-        wx = sum(flatten(x))
-        fx = flatten(x)
-        decomposable = False
-        for h in basis:
-            fh = flatten(h)
-            if sum(fh) >= wx:
-                break  # basis is in weight order; remainder would be 0 or negative
-            if all(a <= b for a, b in zip(fh, fx)):
-                rest = tuple(tuple(a - b for a, b in zip(bx, bh))
-                             for bx, bh in zip(x, h))
-                if rest in member_set:
-                    decomposable = True
-                    break
-        if not decomposable:
-            basis.append(x)
-    basis.sort(key=flatten)
-    return BoundedBasis(r, s, kind, B, tuple(basis))
+    base = _code_base(r, s, B)
+    basis = sorted(tuple(row.tolist())
+                   for row in _sieve(_member_rows(r, s, kind, B), base))
+    return BoundedBasis(r, s, kind, B, tuple(_blocks(row, r) for row in basis))
 
 
 def decomposition_witness(x, kind):

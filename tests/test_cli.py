@@ -1,11 +1,16 @@
 """CLI behaviour: exit codes, output formats, determinism, schema."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import lrcone
+from lrcone import cli
 from lrcone.cli import main
 
 
@@ -141,6 +146,35 @@ def test_refused_at_once(capsys, argv, suggests_extended):
     assert code == 2 and captured.out == ""
     assert "error" in captured.err
     assert ("pass --extended" in captured.err) == suggests_extended
+
+
+def test_tables_hilbert_counts_refused_before_any_search(capsys, monkeypatch):
+    # at the default --max-r 5 the bound of r=5 is 5, a box of about 26 GB;
+    # the budget of every row is checked before the first search starts
+    def search(*args, **kwargs):
+        raise AssertionError("a Hilbert search started")
+    monkeypatch.setattr(cli, "hilbert_basis_bounded", search)
+    code, out, err = run(capsys, "tables", "--which", "hilbert-counts")
+    assert code == 2 and out == ""
+    assert "budget" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # the report (about 150 kB) overflows the pipe, so writes go on after
+    # the reader has closed its end
+    src = os.path.dirname(os.path.dirname(lrcone.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lrcone.cli", "sample", "--spectra", "1,0;1,0",
+         "--trials", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_output_file(tmp_path, capsys):

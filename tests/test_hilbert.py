@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrcone import hilbert
 from lrcone.cones import member, parse_point, point_add
 from lrcone.hilbert import (
     decomposition_witness,
@@ -65,10 +66,22 @@ def test_bounded_basis_lr():
     assert set(basis.points) == set(enumerate_rays(2, 3, "LR"))
 
 
-def test_sieve_matches_exhaustive_definition():
-    basis = hilbert_basis_bounded(2, 3, "EqLR", 2)
-    for x in lattice_points_bounded(2, 3, "EqLR", 2):
-        assert (x in basis.points) == is_indecomposable(x, "EqLR")
+@pytest.mark.parametrize("kind", ["EqLR", "LR"])
+@pytest.mark.parametrize("r, s, B", [(r, 3, B) for r in (1, 2, 3)
+                                     for B in (1, 2, 3)] + [(2, 4, 2)])
+def test_sieve_matches_exhaustive_definition(r, s, B, kind):
+    basis = set(hilbert_basis_bounded(r, s, kind, B).points)
+    for x in lattice_points_bounded(r, s, kind, B):
+        assert (x in basis) == is_indecomposable(x, kind), x
+
+
+def test_codes_must_fit_in_int64():
+    # (B+1)**(r*s) must stay below 2**63: at r*s = 63 and B = 1 it is 2**63
+    assert hilbert._code_base(31, 2, 1) == 2
+    with pytest.raises(ValueError, match="int64"):
+        hilbert._code_base(21, 3, 1)
+    with pytest.raises(ValueError, match="int64"):
+        hilbert_basis_bounded(21, 3, "EqLR", 1)
 
 
 def test_basis_to_json():
@@ -80,10 +93,11 @@ def test_basis_to_json():
 
 def test_resource_guard(monkeypatch):
     # (6,3,B=4) would allocate about 44 GB; the byte guard refuses it
-    # before the box of candidate points is built
+    # before the box of candidate points is built or tested
     def build_box(*args, **kwargs):
         raise AssertionError("the box was built")
     monkeypatch.setattr(np, "indices", build_box)
+    monkeypatch.setattr(hilbert, "_member_mask", build_box)
     with pytest.raises(ValueError, match="budget"):
         hilbert_basis_bounded(6, 3, "EqLR", 4)
     with pytest.raises(ValueError):
