@@ -3,11 +3,12 @@
 Commands mirror the library: horn, rays, facet, member, hilbert, tables,
 sample. Output is deterministic for a fixed invocation; `--format json`
 emits a single object validating against the schema shipped as
-`lrcone/output.schema.json`.
+`lrcone/output.schema.json`, and `sample` writes one JSON line per trial.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,7 +21,6 @@ from .cones import (
     normalize_kind,
     parse_point,
     parse_subset,
-    point_to_json,
 )
 from .rays import (
     enumerate_rays,
@@ -29,15 +29,19 @@ from .rays import (
     rayset_lines,
 )
 from .hilbert import check_search_budget, hilbert_basis_bounded
-from .oracle import sample_spectrum_sum, write_sample_report
+from .oracle import sample_spectrum_sum
 
-# The only time limits: per command, the r and the s ceilings, each as
-# (default, with --extended). Ray enumeration recurses over every Horn facet
-# (data over s-1 subsets) and the Hilbert box grows as C(r+B, r)^s, so cost
-# climbs steeply with r and s. `facet` enumerates the rays of two smaller
-# cones and is held to the rays ceilings.
+# The time limits, all in this module: per command, the r and the s
+# ceilings, each as (default, with --extended). Ray enumeration recurses
+# over every Horn facet (data over s-1 subsets) and the Hilbert box grows as
+# C(r+B, r)^s, so cost climbs steeply with r and s. `facet` enumerates the
+# rays of two smaller cones and is held to the rays ceilings.
 CEILINGS = {"rays": ((6, 9), (5, 8)), "hilbert": ((5, 7), (5, 8)),
             "tables": ((6, 9), (5, 8))}
+# Every command that builds Horn data is also held, with or without
+# --extended, to this many subset tuples expanded by `enumerate_horn`: the
+# sum over d of C(r, d)^(s-1). (r, s) = (9, 3) expands 48,618, in about 3 s.
+HORN_WORK = 10**5
 
 
 class CommandError(Exception):
@@ -46,9 +50,12 @@ class CommandError(Exception):
         self.code = code
 
 
-def _emit(args, payload, lines):
-    if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(args, params, result, lines):
+    """Write the text `lines`, or under `--format json` one object holding
+    the command, its params and its result."""
+    if getattr(args, "format", "text") == "json":
+        out = json.dumps({"command": args.command, "params": params,
+                          "result": result}, indent=2, sort_keys=True)
     else:
         out = "\n".join(lines)
     if args.output:
@@ -58,42 +65,48 @@ def _emit(args, payload, lines):
         print(out)
 
 
-def cmd_horn(args):
-    if args.r < 2:
-        raise CommandError(f"no valid d at r={args.r}: need 1 <= d < r")
-    if not 1 <= args.d < args.r:
-        raise CommandError(f"d={args.d} out of range: need 1 <= d < r={args.r}")
-    data = enumerate_horn(args.r, args.s, args.d)
-    lines = [str(h) for h in data]
-    payload = {"command": "horn",
-               "params": {"r": args.r, "s": args.s, "d": args.d},
-               "result": {"count": len(data),
-                          "data": [{"I": [list(i) for i in h.I], "K": list(h.K)}
-                                   for h in data]}}
-    _emit(args, payload, lines)
-
-
-def _check_ceilings(args, table, r, what="r"):
-    """Refuse, before any work, an r or an s above the ceilings of `table`."""
-    for name, value, (default, extended) in zip((what, "s"), (r, args.s),
-                                                  CEILINGS[table]):
+def _check_ceilings(args, table, r, s, what=None, ds=None):
+    """Refuse, before any work, an r or an s above the ceilings of `table`
+    (`what`, a (name, value) pair, is held to the r ceiling in place of r),
+    then a Horn work above HORN_WORK, over every 0 < d < r or the d in `ds`."""
+    held, held_value = what or ("r", r)
+    for name, value, (default, extended) in zip((held, "s"), (held_value, s),
+                                                  CEILINGS.get(table, ())):
         ceiling = extended if args.extended else default
         if value > ceiling:
             hint = (f"; pass --extended to lift it to {extended}"
                     if value <= extended else "")
             raise CommandError(
                 f"{name}={value} exceeds the {table} ceiling {ceiling}{hint}")
+    # each C(r, d)^(s-1) is at least r and 2^(s-1), so past either bound the
+    # sum is over the ceiling and is not computed
+    if r >= 2 and s >= 3 and (r > HORN_WORK or s > HORN_WORK.bit_length()
+                              or sum(math.comb(r, d) ** (s - 1)
+                                     for d in ds or range(1, r)) > HORN_WORK):
+        raise CommandError(f"r={r}, s={s} exceeds the Horn work ceiling: "
+                           f"more than {HORN_WORK} subset tuples")
+
+
+def cmd_horn(args):
+    if args.r < 2:
+        raise CommandError(f"no valid d at r={args.r}: need 1 <= d < r")
+    if not 1 <= args.d < args.r:
+        raise CommandError(f"d={args.d} out of range: need 1 <= d < r={args.r}")
+    _check_ceilings(args, None, args.r, args.s, ds=(args.d,))
+    data = enumerate_horn(args.r, args.s, args.d)
+    _emit(args, {"r": args.r, "s": args.s, "d": args.d},
+          {"count": len(data),
+           "data": [{"I": [list(i) for i in h.I], "K": list(h.K)} for h in data]},
+          [str(h) for h in data])
 
 
 def cmd_rays(args):
     kind = normalize_kind(args.kind)
-    _check_ceilings(args, "rays", args.r)
+    _check_ceilings(args, "rays", args.r, args.s)
     rays = enumerate_rays(args.r, args.s, kind)
-    lines = [f"# {len(rays)} rays of {kind}_{args.r}^{args.s}"] + rayset_lines(rays)
-    payload = {"command": "rays",
-               "params": {"r": args.r, "s": args.s, "kind": kind},
-               "result": rayset_json(args.r, args.s, kind, rays)}
-    _emit(args, payload, lines)
+    _emit(args, {"r": args.r, "s": args.s, "kind": kind},
+          rayset_json(args.r, args.s, kind, rays),
+          [f"# {len(rays)} rays of {kind}_{args.r}^{args.s}"] + rayset_lines(rays))
 
 
 def _parse_facet(args):
@@ -102,7 +115,8 @@ def _parse_facet(args):
     d = len(K)
     if len(Is) != args.s - 1:
         raise CommandError(f"expected {args.s - 1} subsets in --I, got {len(Is)}")
-    _check_ceilings(args, "rays", max(d, args.r - d), "max(d, r-d)")
+    _check_ceilings(args, "rays", args.r, args.s,
+                    ("max(d, r-d)", max(d, args.r - d)))
     try:
         return HornDatum(args.r, args.s, d, Is, K).check()
     except ValueError as exc:
@@ -120,18 +134,14 @@ def cmd_facet(args):
     lines.append(f"# zero images: {dec.type2_zero}")
     lines.append(f"# non-extremal images ({len(dec.type2_nonextremal)}):")
     lines += [f"  {format_point(p)}" for p in dec.type2_nonextremal]
-    payload = {"command": "facet",
-               "params": {"r": args.r, "s": args.s, "kind": kind,
-                          "I": [list(i) for i in h.I], "K": list(h.K)},
-               "result": {
-                   "type1": [{"datum": [j, a], "ray": point_to_json(p)["blocks"]}
-                             for (j, a), p in dec.type1],
-                   "type2_extremal": [point_to_json(p)["blocks"]
-                                      for p in dec.type2_extremal],
-                   "zero_images": dec.type2_zero,
-                   "nonextremal": [point_to_json(p)["blocks"]
-                                   for p in dec.type2_nonextremal]}}
-    _emit(args, payload, lines)
+    _emit(args, {"r": args.r, "s": args.s, "kind": kind,
+                 "I": [list(i) for i in h.I], "K": list(h.K)},
+          {"type1": [{"datum": [j, a], "ray": [list(b) for b in p]}
+                     for (j, a), p in dec.type1],
+           "type2_extremal": [[list(b) for b in p] for p in dec.type2_extremal],
+           "zero_images": dec.type2_zero,
+           "nonextremal": [[list(b) for b in p] for p in dec.type2_nonextremal]},
+          lines)
 
 
 def cmd_member(args):
@@ -140,33 +150,28 @@ def cmd_member(args):
         x = parse_point(args.point)
     except ValueError as exc:
         raise CommandError(f"bad point {args.point!r}: {exc}")
+    _check_ceilings(args, None, len(x[0]), len(x))
     verdict = member(x, kind)
-    payload = {"command": "member",
-               "params": {"point": args.point, "kind": kind},
-               "result": {"member": verdict}}
-    _emit(args, payload, ["true" if verdict else "false"])
+    _emit(args, {"point": args.point, "kind": kind}, {"member": verdict},
+          ["true" if verdict else "false"])
 
 
 def cmd_hilbert(args):
     kind = normalize_kind(args.kind)
-    _check_ceilings(args, "hilbert", args.r)
+    _check_ceilings(args, "hilbert", args.r, args.s)
     basis = hilbert_basis_bounded(args.r, args.s, kind, args.bound)
     lines = [f"# {len(basis.points)} indecomposable points of "
              f"{kind}_{args.r}^{args.s} with bound {args.bound}"]
     lines += [format_point(p) for p in basis.points]
-    payload = {"command": "hilbert",
-               "params": {"r": args.r, "s": args.s, "kind": kind,
-                          "bound": args.bound},
-               "result": basis.to_json()}
-    _emit(args, payload, lines)
+    _emit(args, {"r": args.r, "s": args.s, "kind": kind, "bound": args.bound},
+          basis.to_json(), lines)
 
 
 def cmd_tables(args):
-    if args.which not in ("ray-counts", "hilbert-counts"):
-        raise CommandError(f"unknown table {args.which!r}")
-    _check_ceilings(args, "tables", args.max_r, "--max-r")
+    _check_ceilings(args, "tables", args.max_r, args.s, ("--max-r", args.max_r))
     eqs = {r: enumerate_rays(r, args.s, "EqLR") for r in range(1, args.max_r + 1)}
     if args.which == "ray-counts":
+        header = ("r", "LR", "EqLR")
         rows = [(r, len(enumerate_rays(r, args.s, "LR")), len(eq))
                 for r, eq in eqs.items()]
     else:
@@ -175,27 +180,21 @@ def cmd_tables(args):
         bounds = {r: max(p[-1][0] for p in eq) + 1 for r, eq in eqs.items()}
         for r, bound in bounds.items():
             check_search_budget(r, args.s, "EqLR", bound)
+        header = ("r", "rays", "hilbert")
         rows = [(r, len(eq),
                  len(hilbert_basis_bounded(r, args.s, "EqLR", bounds[r]).points))
                 for r, eq in eqs.items()]
-    header = (("r", "LR", "EqLR") if args.which == "ray-counts"
-              else ("r", "rays", "hilbert"))
-    tsv = ["\t".join(header)] + ["\t".join(str(v) for v in row) for row in rows]
-    payload = {"command": "tables",
-               "params": {"which": args.which, "s": args.s, "max_r": args.max_r},
-               "result": {"header": list(header), "rows": [list(r) for r in rows]}}
-    _emit(args, payload, tsv)
+    _emit(args, {"which": args.which, "s": args.s, "max_r": args.max_r},
+          {"header": list(header), "rows": [list(r) for r in rows]},
+          ["\t".join(str(v) for v in row) for row in (header, *rows)])
 
 
 def cmd_sample(args):
     spectra = [tuple(float(v) for v in block.split(","))
                for block in args.spectra.split(";")]
+    _check_ceilings(args, None, len(spectra[0]), len(spectra) + 1)
     samples = sample_spectrum_sum(spectra, args.mode, args.trials, args.seed)
-    if args.output:
-        with open(args.output, "w") as fh:
-            write_sample_report(samples, fh)
-    else:
-        write_sample_report(samples, sys.stdout)
+    _emit(args, None, None, [json.dumps(x.to_json()) for x in samples])
 
 
 def build_parser():
@@ -205,57 +204,57 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, extended=True):
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--s", type=int, default=3)
-        p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-        p.add_argument("--output", default=None)
-        if extended:
-            p.add_argument("--extended", action="store_true",
-                           help="lift the r and s ceilings (slow)")
+    # the arguments shared between commands, each declared once
+    def shared(*flag, **spec):
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flag, **spec)
         return p
 
-    p = common(sub.add_parser("horn", help="enumerate Horn data"), extended=False)
+    r = shared("--r", type=int, required=True)
+    s = shared("--s", type=int, default=3)
+    kind = shared("--kind", default="eqlr")
+    fmt = shared("--format", choices=("text", "json"), default="text")
+    output = shared("--output", default=None)
+    extended = shared("--extended", action="store_true",
+                      help="lift the r and s ceilings (slow)")
+
+    p = sub.add_parser("horn", parents=[r, s, fmt, output],
+                       help="enumerate Horn data")
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_horn)
 
-    p = common(sub.add_parser("rays", help="enumerate extremal rays"))
-    p.add_argument("--kind", default="eqlr")
-    p.set_defaults(func=cmd_rays)
+    sub.add_parser("rays", parents=[r, s, kind, fmt, output, extended],
+                   help="enumerate extremal rays").set_defaults(func=cmd_rays)
 
-    p = common(sub.add_parser("facet", help="decompose one Horn facet"))
+    p = sub.add_parser("facet", parents=[r, s, kind, fmt, output, extended],
+                       help="decompose one Horn facet")
     p.add_argument("--I", required=True, help='subsets, e.g. "{2};{2}"')
     p.add_argument("--K", required=True, help='subset, e.g. "{3}"')
-    p.add_argument("--kind", default="eqlr")
     p.set_defaults(func=cmd_facet)
 
-    p = sub.add_parser("member", help="test cone membership of a point")
+    p = sub.add_parser("member", parents=[kind, fmt, output],
+                       help="test cone membership of a point")
     p.add_argument("--point", required=True, help='e.g. "1,1;1,1;2,1"')
-    p.add_argument("--kind", default="eqlr")
-    p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_member)
 
-    p = common(sub.add_parser("hilbert", help="bounded Hilbert basis search"))
-    p.add_argument("--kind", default="eqlr")
+    p = sub.add_parser("hilbert", parents=[r, s, kind, fmt, output, extended],
+                       help="bounded Hilbert basis search")
     p.add_argument("--bound", type=int, required=True)
     p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("tables", help="reproduce the small-r count tables")
-    p.add_argument("--which", required=True)
+    p = sub.add_parser("tables", parents=[s, fmt, output, extended],
+                       help="reproduce the small-r count tables")
+    p.add_argument("--which", required=True,
+                   choices=("ray-counts", "hilbert-counts"))
     p.add_argument("--max-r", type=int, dest="max_r", default=5)
-    p.add_argument("--s", type=int, default=3)
-    p.add_argument("--format", choices=("text", "json", "tsv"), default="tsv")
-    p.add_argument("--output", default=None)
-    p.add_argument("--extended", action="store_true")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("sample", help="random Hermitian spectrum sampler")
+    p = sub.add_parser("sample", parents=[output],
+                       help="random Hermitian spectrum sampler")
     p.add_argument("--spectra", required=True, help='e.g. "1,0;1,0"')
     p.add_argument("--mode", choices=("equal", "majorized"), default="equal")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sample)
     return parser
 

@@ -92,16 +92,6 @@ def format_point(x):
     return ";".join(",".join(str(v) for v in block) for block in x)
 
 
-def point_to_json(x):
-    blocks = check_point(x)
-    return {"r": len(blocks[0]), "s": len(blocks), "blocks": [list(b) for b in blocks]}
-
-
-def point_from_json(obj):
-    x = check_point(obj["blocks"], obj["r"], obj["s"])
-    return tuple(tuple(int(v) if isinstance(v, int) else Fraction(v) for v in b) for b in x)
-
-
 def parse_subset(text):
     """Parse the text form `{2,4}` into a subset tuple."""
     text = text.strip()

@@ -9,7 +9,6 @@ and checks the resulting eigenvalue tuples against the cone inequalities
 numerically.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,9 +183,3 @@ def sample_spectrum_sum(spectra, mode, trials, seed):
         samples.append(SpectrumSample(
             spectra, eigs, mode, spectrum_violation(spectra, eigs, mode)))
     return samples
-
-
-def write_sample_report(samples, fh):
-    """JSON-lines report, one record per trial."""
-    for sample in samples:
-        fh.write(json.dumps(sample.to_json()) + "\n")

@@ -55,17 +55,7 @@ def contains(outer, inner):
 def partitions_in_box(rows, width):
     """All partitions with at most `rows` parts, each part at most `width`,
     as tuples of length `rows` (zero-padded), in lexicographic order."""
-    out = []
-
-    def rec(prefix, remaining, cap):
-        if remaining == 0:
-            out.append(tuple(prefix) + (0,) * (rows - len(prefix)))
-            return
-        for part in range(0, cap + 1):
-            rec(prefix + [part], remaining - 1, part)
-
-    rec([], rows, width)
-    return sorted(out)
+    return subpartitions((width,) * rows)
 
 
 def subpartitions(lam):

@@ -129,21 +129,18 @@ def type1_data(h):
     return out
 
 
+def _swap_in(subset, old, new):
+    return tuple(sorted(set(subset) - {old} | {new}))
+
+
 def swap_datum(h, t):
     """The primed collection (I', K') obtained by the swap at datum t."""
     j, a = t
     if (j, a) not in type1_data(h):
         raise ValueError(f"{t} is not a valid type I datum for {h}")
     if j < h.s:
-        Ij = tuple(sorted(set(h.I[j - 1]) - {a} | {a + 1}))
-        I = h.I[:j - 1] + (Ij,) + h.I[j:]
-        return I, h.K
-    K = tuple(sorted(set(h.K) - {a} | {a - 1}))
-    return h.I, K
-
-
-def _swap_in(subset, old, new):
-    return tuple(sorted(set(subset) - {old} | {new}))
+        return h.I[:j - 1] + (_swap_in(h.I[j - 1], a, a + 1),) + h.I[j:], h.K
+    return h.I, _swap_in(h.K, a, a - 1)
 
 
 def type1_ray(h, t):
@@ -330,14 +327,6 @@ def _cache_path(r, s, kind):
     return os.path.join(root, f"rays-r{r}-s{s}-{kind.lower()}.json")
 
 
-def _base_candidates(r, s, kind):
-    """Candidates for the rays of LR_1 or EqLR_1 (CSL_1 is the origin)."""
-    if kind == "LR":
-        return [x_ray(j, r, s) for j in range(1, s)]
-    return [tuple((m,) * r for m in mask) + ((1,) * r,)
-            for mask in product((0, 1), repeat=s - 1) if any(mask)]
-
-
 def _read_cache(path, r, s, kind):
     """The ray set cached at `path`, or None if there is none or it fails a
     check: key and count match; points sorted, distinct, integer, nonzero
@@ -383,16 +372,13 @@ def enumerate_rays(r, s, kind):
         rays = tuple(x for x in enumerate_rays(r, s, "LR")
                      if member(x, "CSL"))
     else:
-        if r == 1:
-            candidates = _base_candidates(r, s, kind)
-        else:
-            # an omega-tuple whose k's sum past l lies outside LR
-            candidates = [x for x in special_rays(r, s) if member(x, kind)]
-            for h in all_horn_data(r, s):
-                candidates += [p for _, p in _type1_rays(h)]
-                candidates += _facet_images(h, kind)
-            if kind == "EqLR":
-                candidates += enumerate_rays(r, s, "LR")
+        # an omega-tuple whose k's sum past l lies outside LR
+        candidates = [x for x in special_rays(r, s) if member(x, kind)]
+        for h in all_horn_data(r, s):
+            candidates += [p for _, p in _type1_rays(h)]
+            candidates += _facet_images(h, kind)
+        if kind == "EqLR":
+            candidates += enumerate_rays(r, s, "LR")
         distinct = {primitive(x) for x in candidates if any(flatten(x))}
         rays = tuple(sorted((p for p in distinct if is_extremal(p, kind)),
                             key=flatten))

@@ -101,8 +101,9 @@ def test_tables_ray_counts(capsys):
 
 
 def test_tables_unknown(capsys):
-    code, _, err = run(capsys, "tables", "--which", "nope")
-    assert code == 2 and "error" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--which", "nope"])
+    assert exc.value.code == 2 and "error" in capsys.readouterr().err
 
 
 def test_rays_ceiling_requires_extended(capsys):
@@ -112,6 +113,7 @@ def test_rays_ceiling_requires_extended(capsys):
 
 
 FACET = ["--I", "{1};{1}", "--K", "{1}"]
+ROW12 = ",".join(["1"] * 12)
 
 
 @pytest.mark.parametrize("argv, suggests_extended", [
@@ -133,9 +135,18 @@ FACET = ["--I", "{1};{1}", "--K", "{1}"]
      True),
     (["hilbert", "--r", "2", "--s", "6", "--bound", "1"], True),
     (["tables", "--which", "ray-counts", "--max-r", "2", "--s", "6"], True),
+    # within the r and s ceilings, over the Horn work ceiling
+    (["horn", "--r", "7", "--d", "3", "--s", "5"], False),
+    (["horn", "--r", "12", "--d", "6"], False),
+    (["horn", "--r", "2", "--d", "1", "--s", "1000000000"], False),
+    (["member", "--point", ";".join([ROW12] * 3)], False),
+    (["sample", "--spectra", ";".join([ROW12] * 2)], False),
+    (["rays", "--r", "6", "--s", "5"], False),
+    (["rays", "--r", "9", "--s", "8", "--extended"], False),
     # options that did nothing are argparse errors now
     (["horn", "--r", "2", "--d", "1", "--threads", "2"], False),
     (["horn", "--r", "2", "--d", "1", "--extended"], False),
+    (["rays", "--r", "2", "--format", "tsv"], False),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_refused_at_once(capsys, argv, suggests_extended):
     try:
@@ -191,9 +202,11 @@ def test_sample_jsonl(tmp_path, capsys):
     code, _, _ = run(capsys, "sample", "--spectra", "1,0;1,0", "--trials", "5",
                      "--seed", "9", "--output", str(target))
     assert code == 0
-    lines = target.read_text().splitlines()
-    assert len(lines) == 5
-    assert all(json.loads(l)["max_violation"] < 1e-9 for l in lines)
+    records = [json.loads(l) for l in target.read_text().splitlines()]
+    assert len(records) == 5
+    assert all(set(rec) == {"spectra", "result", "mode", "max_violation"}
+               and rec["mode"] == "equal" and rec["max_violation"] < 1e-9
+               for rec in records)
 
 
 def test_version(capsys):

@@ -17,8 +17,6 @@ from lrcone.cones import (
     nonvanishing,
     parse_point,
     parse_subset,
-    point_from_json,
-    point_to_json,
     shadow,
 )
 
@@ -27,8 +25,6 @@ def test_parse_and_format_roundtrip():
     text = "1,1,0;1,0,0;1,1,1"
     assert format_point(parse_point(text)) == text
     assert parse_subset("{2,4}") == (2, 4)
-    p = parse_point(text)
-    assert point_from_json(point_to_json(p)) == p
 
 
 def test_enumerate_horn_r2():

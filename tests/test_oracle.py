@@ -1,8 +1,5 @@
 """Double-description oracle and the numerical spectrum sampler."""
 
-import io
-import json
-
 import pytest
 
 from lrcone.cones import inequality_system, parse_point
@@ -11,7 +8,6 @@ from lrcone.oracle import (
     dd_rays,
     sample_spectrum_sum,
     spectrum_violation,
-    write_sample_report,
 )
 from lrcone.rays import enumerate_rays
 
@@ -37,7 +33,8 @@ def test_dd_matches_recursive_enumeration():
         set(enumerate_rays(3, 3, "EqLR"))
 
 
-@pytest.mark.parametrize("r, s", [(1, 4), (2, 4), (3, 4), (1, 5), (2, 5)])
+@pytest.mark.parametrize("r, s", [(1, 4), (2, 4), (3, 4), (1, 5), (2, 5),
+                                  (1, 6), (1, 7), (1, 8)])
 @pytest.mark.parametrize("kind", ["CSL", "LR", "EqLR"])
 def test_dd_matches_recursive_enumeration_s4_s5(r, s, kind):
     assert set(dd_rays(inequality_system(r, s, kind), ceiling=r * s)) == \
@@ -97,14 +94,3 @@ def test_sampler_input_validation():
         sample_spectrum_sum([(1.0, 0.0)], "sideways", 1, seed=0)
     with pytest.raises(ValueError):
         sample_spectrum_sum([(1.0, 0.0)], "equal", 0, seed=0)
-
-
-def test_write_sample_report():
-    samples = sample_spectrum_sum([(1.0, 0.0), (1.0, 0.0)], "equal", 3, seed=1)
-    buf = io.StringIO()
-    write_sample_report(samples, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == 3
-    rec = json.loads(lines[0])
-    assert set(rec) == {"spectra", "result", "mode", "max_violation"}
-    assert rec["mode"] == "equal"
