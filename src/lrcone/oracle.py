@@ -165,10 +165,13 @@ def sample_spectrum_sum(spectra, mode, trials, seed):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spectra = tuple(tuple(float(v) for v in vec) for vec in spectra)
+    r = len(spectra[0])
     for vec in spectra:
+        if len(vec) != r:
+            raise ValueError(f"spectrum {vec} has length {len(vec)}; "
+                             f"expected {r}, the length of the first")
         if any(a < b - 1e-12 for a, b in zip(vec, vec[1:])):
             raise ValueError(f"spectrum {vec} is not weakly decreasing")
-    r = len(spectra[0])
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(trials):

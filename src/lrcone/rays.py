@@ -4,7 +4,8 @@ On each Horn facet, type I rays come from a direct swap construction on the
 indexing subsets, and type II rays are images of rays of a product of two
 smaller cones under the induction map. The union over all facets, together
 with two explicitly known special families, is filtered through an exact
-extremality certificate (tight-constraint rank = r*s - 1).
+extremality certificate (tight-constraint rank = r*s - 1), computed by
+fraction-free integer elimination in `exact_rank`.
 """
 
 import json
@@ -36,30 +37,43 @@ from .cones import (
 # exact linear algebra
 
 def exact_rank(rows):
-    """Rank of a list of integer/Fraction vectors, by exact elimination."""
-    mat = [list(map(Fraction, row)) for row in rows if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(mat):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+    """Rank of a list of int/Fraction vectors, by fraction-free integer
+    elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Each nonzero row is scaled to integers by the lcm of its denominators.
+    Each step takes a row with a nonzero leading entry as pivot, replaces
+    every other row by pivot * row - lead * pivot row divided by the previous
+    pivot, and drops the leading column. By Sylvester's identity every entry
+    is then a minor of the input, so the division is exact and the integers
+    stay small. A leading column that holds no pivot is dropped, and so is
+    every row that becomes zero.
+    """
+    mat = []
+    for row in rows:
+        if any(row):
+            scale = math.lcm(*(v.denominator for v in row))
+            mat.append([v.numerator * (scale // v.denominator) for v in row])
+    rank, prev = 0, 1
+    while mat and mat[0]:
+        piv = next((i for i, row in enumerate(mat) if row[0]), None)
         if piv is None:
-            col += 1
+            mat = [row[1:] for row in mat]
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        pval = prow[col]
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][col]
-            if f:
-                ratio = f / pval
-                row_i = mat[i]
-                for c in range(col, ncols):
-                    row_i[c] -= ratio * prow[c]
+        pivot = mat.pop(piv)
+        p, tail = pivot[0], pivot[1:]
         rank += 1
-        col += 1
+        rest = []
+        for row in mat:
+            f = row[0]
+            if f:
+                row = [(p * b - f * a) // prev for a, b in zip(tail, row[1:])]
+            elif p == prev:
+                row = row[1:]
+            else:
+                row = [p * b // prev for b in row[1:]]
+            if any(row):
+                rest.append(row)
+        mat, prev = rest, p
     return rank
 
 
@@ -318,6 +332,10 @@ def facet_rays(h, kind):
 
 _RAY_MEMO = {}
 CACHE_ENV = "LRCONE_CACHE_DIR"
+# the "format" field of every cache file; a file without this value, such as
+# one written before the field existed, is a miss. Change it whenever the
+# payload or the meaning of a cached ray set changes.
+CACHE_FORMAT = 1
 
 
 def _cache_path(r, s, kind):
@@ -329,15 +347,16 @@ def _cache_path(r, s, kind):
 
 def _read_cache(path, r, s, kind):
     """The ray set cached at `path`, or None if there is none or it fails a
-    check: key and count match; points sorted, distinct, integer, nonzero
-    (`primitive` refuses 0), primitive, in the cone. Extremality is unchecked."""
+    check: format, key and count match; points sorted, distinct, integer,
+    nonzero (`primitive` refuses 0), primitive, in the cone. Extremality is
+    unchecked."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         rays = tuple(check_point(p, r, s) for p in data["rays"])
         flats = [flatten(p) for p in rays]
-        ok = ((data["r"], data["s"], data["kind"], data["count"])
-              == (r, s, kind, len(rays))
+        ok = ((data["format"], data["r"], data["s"], data["kind"], data["count"])
+              == (CACHE_FORMAT, r, s, kind, len(rays))
               and all(a < b for a, b in zip(flats, flats[1:]))
               and all(all(type(v) is int for v in f) and primitive(p) == p
                       and member(p, kind) for f, p in zip(flats, rays)))
@@ -384,7 +403,7 @@ def enumerate_rays(r, s, kind):
                             key=flatten))
     _RAY_MEMO[key] = rays
     if path:
-        _write_cache(path, rayset_json(r, s, kind, rays))
+        _write_cache(path, {"format": CACHE_FORMAT, **rayset_json(r, s, kind, rays)})
     return rays
 
 

@@ -209,6 +209,13 @@ def test_sample_jsonl(tmp_path, capsys):
                for rec in records)
 
 
+def test_sample_spectra_of_unequal_length(capsys):
+    code, out, err = run(capsys, "sample", "--spectra", "1,0;1,0,0")
+    assert code == 2 and out == ""
+    assert err == ("error: spectrum (1.0, 0.0, 0.0) has length 3; "
+                   "expected 2, the length of the first\n")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -94,3 +94,9 @@ def test_sampler_input_validation():
         sample_spectrum_sum([(1.0, 0.0)], "sideways", 1, seed=0)
     with pytest.raises(ValueError):
         sample_spectrum_sum([(1.0, 0.0)], "equal", 0, seed=0)
+
+
+def test_sampler_refuses_spectra_of_unequal_length():
+    with pytest.raises(ValueError,
+                       match=r"spectrum \(1\.0, 0\.0, 0\.0\) has length 3; expected 2"):
+        sample_spectrum_sum([(1.0, 0.0), (1.0, 0.0, 0.0)], "equal", 1, seed=0)

@@ -3,8 +3,10 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrcone import rays
 from lrcone.cli import main
@@ -48,8 +50,77 @@ def test_exact_rank():
     assert exact_rank([]) == 0
 
 
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction: the independent reference
+    for the integer elimination in `exact_rank`."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            ratio = mat[i][col] / mat[rank][col]
+            mat[i] = [a - ratio * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def dependent_matrices(draw):
+    """Small integer rows, then integer combinations of them (injected
+    dependencies), some rows turned into Fractions, in a shuffled order."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows))
+                     for j in range(ncols)])
+    out = []
+    for row in rows:
+        if draw(st.booleans()):
+            dens = draw(st.lists(st.integers(1, 6), min_size=ncols, max_size=ncols))
+            row = [Fraction(v, d) for v, d in zip(row, dens)]
+        out.append(row)
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_matrices())
+def test_exact_rank_matches_fraction_elimination(rows):
+    assert exact_rank(rows) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("rows, rank", [
+    # the middle column holds no pivot once the first is eliminated
+    ([(1, 2, 3), (2, 4, 7)], 2),
+    # no row has a nonzero first entry
+    ([(0, 1, 2), (0, 2, 4), (0, 1, 3)], 2),
+    # the first row has a zero pivot, so a row below must be swapped in
+    ([(0, 1), (1, 0)], 2),
+    ([(0, 0, 5), (0, 2, 1), (3, 1, 1)], 3),
+    # all-zero rows
+    ([(0, 0), (0, 0)], 0),
+    ([(0, 0, 0), (1, 2, 3), (0, 0, 0), (2, 4, 6)], 1),
+    # a single row
+    ([(3, 0, -1)], 1),
+    ([(Fraction(1, 2), Fraction(-2, 3))], 1),
+    # Fraction rows scaled by their row lcm
+    ([(Fraction(1, 2), Fraction(1, 3)), (3, 2)], 1),
+    # above 2**63: int64 would wrap (2**63 -> -2**63, 2**64 -> 0) to rank 2,
+    # float64 would round the rows of determinant -1 to equal rows, rank 1
+    ([(2**63, 1), (2**64, 2)], 1),
+    ([(2**63 + 1, 2**63), (2**63, 2**63 - 1)], 2),
+    ([(2**70, 3 * 2**70, 1), (2**65, 3 * 2**65, 2), (1, 1, 1)], 3),
+])
+def test_exact_rank_hand_cases(rows, rank):
+    assert exact_rank(rows) == rank
+    assert fraction_rank(rows) == rank
+
+
 def test_primitive():
-    from fractions import Fraction
     assert primitive(((2, 4), (0, 2))) == ((1, 2), (0, 1))
     assert primitive(((Fraction(1, 2),), (Fraction(1, 3),))) == ((3,), (2,))
     with pytest.raises(ValueError):
@@ -303,7 +374,8 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
     rays._RAY_MEMO.clear()
     found = enumerate_rays(2, 3, "EqLR")
     cached = json.loads((tmp_path / "rays-r2-s3-eqlr.json").read_text())
-    assert cached == rays.rayset_json(2, 3, "EqLR", found)
+    assert cached == {"format": rays.CACHE_FORMAT,
+                      **rays.rayset_json(2, 3, "EqLR", found)}
     rays._RAY_MEMO.clear()
     assert enumerate_rays(2, 3, "EqLR") == found  # read back from disk
 
@@ -324,7 +396,11 @@ def test_each_candidate_certified_once(monkeypatch):
 
 
 def _corrupt(payload, how):
-    if how == "non-member":  # 9,9;0,0;1,0 breaks containment nu >= lam
+    if how == "unversioned":  # as written before the format field existed
+        del payload["format"]
+    elif how == "other format":
+        payload["format"] = rays.CACHE_FORMAT + 1
+    elif how == "non-member":  # 9,9;0,0;1,0 breaks containment nu >= lam
         payload.update(count=1, rays=[[[9, 9], [0, 0], [1, 0]]])
     elif how == "key":
         payload["s"] = 4
@@ -345,7 +421,8 @@ def _corrupt(payload, how):
     return json.dumps(payload)
 
 
-@pytest.mark.parametrize("how", ["non-member", "key", "count", "unsorted",
+@pytest.mark.parametrize("how", ["unversioned", "other format",
+                                 "non-member", "key", "count", "unsorted",
                                  "duplicate", "zero", "non-primitive", "float",
                                  "shape", "not json"])
 def test_disk_cache_serves_only_what_it_can_check(tmp_path, monkeypatch,
@@ -353,7 +430,7 @@ def test_disk_cache_serves_only_what_it_can_check(tmp_path, monkeypatch,
     monkeypatch.setenv(rays.CACHE_ENV, str(tmp_path))
     monkeypatch.setattr(rays, "_RAY_MEMO", {})
     found = enumerate_rays(2, 3, "EqLR")
-    expected = rays.rayset_json(2, 3, "EqLR", found)
+    expected = {"format": rays.CACHE_FORMAT, **rays.rayset_json(2, 3, "EqLR", found)}
     path = tmp_path / "rays-r2-s3-eqlr.json"
     text = "{not json" if how == "not json" else _corrupt(json.loads(
         json.dumps(expected)), how)
