@@ -33,9 +33,10 @@ from .oracle import sample_spectrum_sum
 
 # The time limits, all in this module: per command, the r and the s
 # ceilings, each as (default, with --extended). Ray enumeration recurses
-# over every Horn facet (data over s-1 subsets) and the Hilbert box grows as
-# C(r+B, r)^s, so cost climbs steeply with r and s. `facet` enumerates the
-# rays of two smaller cones and is held to the rays ceilings.
+# over every Horn facet (data over s-1 subsets) and the Hilbert search tests
+# up to C(r+B, r)^s candidate tuples (fewer under containment), so cost
+# climbs steeply with r and s. `facet` enumerates the rays of two smaller
+# cones and is held to the rays ceilings.
 CEILINGS = {"rays": ((6, 9), (5, 8)), "hilbert": ((5, 7), (5, 8)),
             "tables": ((6, 9), (5, 8))}
 # Every command that builds Horn data is also held, with or without

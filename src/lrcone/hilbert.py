@@ -1,9 +1,13 @@
 """Indecomposability and bounded Hilbert-basis search for the lattice
 semigroups LR_r^s and EqLR_r^s intersected with Z^{rs}.
 
-The bounded search enumerates every partition tuple in the r x B box and
-filters membership in batch (integer arithmetic through float64 matmuls,
-exact because all values are tiny). It then sieves the members for
+The bounded search goes through the partitions nu of the r x B box and,
+for each, through the tuples (lambda^1, ..., lambda^{s-1}, nu) that can be
+members: where the forms say lambda^j <= nu (containment, as in EqLR), each
+lambda^j ranges over the box partitions contained in nu, otherwise over
+the whole box. It filters membership in batch, in chunks of a fixed byte
+size (integer arithmetic through float64 matmuls, exact because all values
+are tiny), and keeps only the members. It then sieves them for
 indecomposables, layer by layer in weight, following the degree-layered
 reduction of Bruns & Ichim, "Normaliz: algorithms for affine monoids and
 rational cones", J. Algebra 324 (2010).
@@ -19,6 +23,7 @@ another, so each weight layer is decided in one batch against the basis
 elements found in the layers below it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,24 +31,69 @@ import numpy as np
 from .partitions import partitions_in_box, subpartitions, weight
 from .cones import check_point, flatten, inequality_system, member, normalize_kind
 
-# The only memory guard: bytes the box search may allocate. The largest
-# search the acceptance suite runs, (r,s,B) = (5,3,4), needs about 3.2 GB;
-# (6,3,4) would need about 44 GB.
+# The only memory guard: bytes the bounded search may allocate, as counted
+# by check_search_budget. (r,s,B) = (6,3,4) needs about 0.8 GB and runs;
+# (6,3,5) would need about 6.9 GB and is refused.
 SEARCH_BYTE_BUDGET = 4 * 10**9
+# Bytes of one chunk of candidate rows in the membership mask: per row its
+# s box indices, its r*s flat entries three times (the pieces, the row and
+# its float64 copy), and its value under every form. About 1,700 rows at
+# r = 6, s = 3 (552 forms).
+MASK_CHUNK_BYTES = 2**23
+
+
+def _contains(r, s, kind):
+    """Whether the forms of the cone include containment, lambda^j <= nu."""
+    return any(f.label == "containment" for f in inequality_system(r, s, kind).forms)
+
+
+def _choices(parts, nu, contained):
+    """Indices of the box partitions that each lambda^j may take beside nu:
+    those contained in nu if `contained`, else the whole box."""
+    if contained:
+        return np.flatnonzero((parts <= nu).all(axis=1))
+    return np.arange(len(parts))
+
+
+def _chunk_rows(r, s, kind):
+    """Candidate rows per call of the membership mask."""
+    per_row = 8 * (s + 3 * r * s + len(inequality_system(r, s, kind).forms))
+    return max(1, MASK_CHUNK_BYTES // per_row)
 
 
 def check_search_budget(r, s, kind, B):
     """Raise ValueError, before anything is allocated, if the bounded
-    search at (r, s, B) would need more than SEARCH_BYTE_BUDGET bytes."""
-    m = len(partitions_in_box(r, B))
-    # bytes of the index array (n x s int64), the flat points (n x rs int64)
-    # and their float64 copy, and the n x forms float64 values
-    forms = len(inequality_system(r, s, kind).forms)
-    need = 8 * m ** s * (s + 2 * r * s + forms)
-    if need > SEARCH_BYTE_BUDGET:
+    search at (r, s, B) could need more than SEARCH_BYTE_BUDGET bytes.
+
+    The search builds, nu by nu, T = sum over nu of k(nu)^(s-1) candidate
+    rows, where k(nu) is the number of box partitions each lambda^j may take
+    beside nu, and keeps the members among them. The estimate counts one
+    mask chunk, the index block of the largest nu three times (its grid,
+    stacked with nu, and joined to the rows before it), and T kept rows,
+    each held up to three times (as index columns, then as flat rows: built,
+    and copied twice by the sieve)."""
+    contained = _contains(r, s, kind)
+
+    def need(rows, block):
+        return 8 * 3 * (rows * (s + r * s) + s * block) + MASK_CHUNK_BYTES
+
+    # nu = (B, ..., B) contains all m partitions of the box, so its block
+    # has m^(s-1) rows; without containment so has every block
+    m = math.comb(r + B, r)
+    block = m ** (s - 1)
+    rows = block if contained else block * m
+    exact = not contained
+    # with containment T is counted nu by nu, unless the lower bound is
+    # already over budget: a huge box is refused before it is listed
+    if contained and need(rows, block) <= SEARCH_BYTE_BUDGET:
+        parts = np.array(partitions_in_box(r, B), dtype=np.int64)
+        rows = sum(len(_choices(parts, nu, contained)) ** (s - 1) for nu in parts)
+        exact = True
+    if need(rows, block) > SEARCH_BYTE_BUDGET:
         raise ValueError(
-            f"the bounded search at r={r}, s={s}, B={B} would allocate about "
-            f"{need / 1e9:.1f} GB, over the {SEARCH_BYTE_BUDGET / 1e9:.0f} GB budget")
+            f"the bounded search at r={r}, s={s}, B={B} would allocate "
+            f"{'about' if exact else 'at least'} {need(rows, block) / 1e9:.1f} GB, "
+            f"over the {SEARCH_BYTE_BUDGET / 1e9:.0f} GB budget")
 
 
 def _member_mask(flat_rows, r, s, kind):
@@ -60,16 +110,41 @@ def _member_mask(flat_rows, r, s, kind):
     return ok
 
 
+def _candidates(parts, s, contained, size):
+    """The box indices (lambda^1, ..., lambda^{s-1}, nu) of every candidate
+    tuple, generated nu by nu and cut into s x `size` int64 chunks (the
+    last may be shorter)."""
+    held, count = [], 0
+    for v, nu in enumerate(parts):
+        choices = _choices(parts, nu, contained)
+        grid = choices[np.indices((len(choices),) * (s - 1)).reshape(s - 1, -1)]
+        held.append(np.vstack([grid, np.full((1, grid.shape[1]), v)]))
+        count += grid.shape[1]
+        if count >= size:
+            cat = np.concatenate(held, axis=1)
+            full = count - count % size
+            yield from (cat[:, at:at + size] for at in range(0, full, size))
+            held, count = [cat[:, full:]], count - full
+    if count:
+        yield np.concatenate(held, axis=1)
+
+
 def _member_rows(r, s, kind, B):
     """The nonzero lattice points of the cone in the r x B box, as an int64
-    array of flat rows (block after block), in box order."""
+    array of flat rows (block after block), in box order: ascending
+    lexicographically."""
     check_search_budget(r, s, kind, B)
-    part_arr = np.array(partitions_in_box(r, B), dtype=np.int64)
-    # the index array is freed before the mask is evaluated
-    flat = np.concatenate([part_arr[idx] for idx in
-                           np.indices((len(part_arr),) * s).reshape(s, -1)], axis=1)
-    rows = flat[_member_mask(flat, r, s, kind)]
-    return rows[rows.any(axis=1)]
+    parts = np.array(partitions_in_box(r, B), dtype=np.int64)
+    chunks = _candidates(parts, s, _contains(r, s, kind), _chunk_rows(r, s, kind))
+    idx = np.concatenate(
+        [chunk[:, _member_mask(np.concatenate([parts[i] for i in chunk], axis=1),
+                               r, s, kind)] for chunk in chunks], axis=1)
+    # the partitions are listed in ascending order, so the index tuples
+    # sorted lambda^1 first give the flat rows in ascending order
+    idx = idx[:, np.lexsort(idx[::-1])]
+    rows = np.concatenate([parts[i] for i in idx], axis=1)
+    # the zero point is a member of every cone and comes first
+    return rows[1:]
 
 
 def _blocks(row, r):
@@ -81,6 +156,8 @@ def lattice_points_bounded(r, s, kind, B):
     """All nonzero lattice points of the cone whose blocks fit in the
     r x B box, as block tuples."""
     kind = normalize_kind(kind)
+    if B < 0:
+        raise ValueError(f"bound must be >= 0, got {B}")
     return [_blocks(row, r) for row in _member_rows(r, s, kind, B).tolist()]
 
 

@@ -170,6 +170,8 @@ def sample_spectrum_sum(spectra, mode, trials, seed):
         if len(vec) != r:
             raise ValueError(f"spectrum {vec} has length {len(vec)}; "
                              f"expected {r}, the length of the first")
+        if not all(math.isfinite(v) for v in vec):
+            raise ValueError(f"spectrum {vec} has an entry that is not finite")
         if any(a < b - 1e-12 for a, b in zip(vec, vec[1:])):
             raise ValueError(f"spectrum {vec} is not weakly decreasing")
     rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import lrcone
-from lrcone import cli
+from lrcone import cli, hilbert
 from lrcone.cli import main
 
 
@@ -123,8 +123,8 @@ ROW12 = ",".join(["1"] * 12)
     (["facet", "--r", "11", *FACET, "--extended"], False),
     (["hilbert", "--r", "6", "--bound", "1"], True),
     (["hilbert", "--r", "8", "--bound", "1", "--extended"], False),
-    # within the r ceiling, over the Hilbert byte budget (about 44 GB)
-    (["hilbert", "--r", "6", "--bound", "4", "--extended"], False),
+    # within the r ceiling, over the Hilbert byte budget (about 50 GB)
+    (["hilbert", "--r", "6", "--bound", "6", "--extended"], False),
     (["tables", "--which", "ray-counts", "--max-r", "7"], True),
     (["tables", "--which", "ray-counts", "--max-r", "10", "--extended"], False),
     # s ceilings: 5 by default, 8 with --extended
@@ -160,14 +160,22 @@ def test_refused_at_once(capsys, argv, suggests_extended):
 
 
 def test_tables_hilbert_counts_refused_before_any_search(capsys, monkeypatch):
-    # at the default --max-r 5 the bound of r=5 is 5, a box of about 26 GB;
-    # the budget of every row is checked before the first search starts
+    # with a 20 MB budget rows r <= 3 fit (about 9 MB each) and r = 4, with
+    # bound 4, does not (about 33 MB): every row's budget is checked before
+    # the first search starts
     def search(*args, **kwargs):
         raise AssertionError("a Hilbert search started")
     monkeypatch.setattr(cli, "hilbert_basis_bounded", search)
-    code, out, err = run(capsys, "tables", "--which", "hilbert-counts")
+    monkeypatch.setattr(hilbert, "SEARCH_BYTE_BUDGET", 2 * 10**7)
+    code, out, err = run(capsys, "tables", "--which", "hilbert-counts", "--max-r", "4")
     assert code == 2 and out == ""
-    assert "budget" in err
+    assert "r=4, s=3, B=4" in err and "budget" in err
+
+
+def test_tables_hilbert_counts(capsys):
+    code, out, _ = run(capsys, "tables", "--which", "hilbert-counts", "--max-r", "4")
+    assert code == 0
+    assert out == "r\trays\thilbert\n1\t3\t3\n2\t10\t10\n3\t27\t27\n4\t72\t72\n"
 
 
 def test_closed_stdout_exits_quietly():
@@ -214,6 +222,13 @@ def test_sample_spectra_of_unequal_length(capsys):
     assert code == 2 and out == ""
     assert err == ("error: spectrum (1.0, 0.0, 0.0) has length 3; "
                    "expected 2, the length of the first\n")
+
+
+@pytest.mark.parametrize("spectra", ["nan,0;1,0", "inf,0;1,0", "1,0;1,-inf"])
+def test_sample_non_finite_spectra(capsys, spectra):
+    code, out, err = run(capsys, "sample", "--spectra", spectra, "--trials", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: spectrum (") and "is not finite" in err
 
 
 def test_version(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from lrcone import hilbert
 from lrcone.cones import member, parse_point, point_add
+from lrcone.partitions import partitions_in_box
 from lrcone.hilbert import (
     decomposition_witness,
     first_lattice_points,
@@ -92,16 +93,97 @@ def test_basis_to_json():
 
 
 def test_resource_guard(monkeypatch):
-    # (6,3,B=4) would allocate about 44 GB; the byte guard refuses it
-    # before the box of candidate points is built or tested
+    # (6,3,B=6) would allocate about 50 GB; the byte guard refuses it
+    # before any candidate point is built or tested
     def build_box(*args, **kwargs):
         raise AssertionError("the box was built")
     monkeypatch.setattr(np, "indices", build_box)
     monkeypatch.setattr(hilbert, "_member_mask", build_box)
     with pytest.raises(ValueError, match="budget"):
-        hilbert_basis_bounded(6, 3, "EqLR", 4)
+        hilbert_basis_bounded(6, 3, "EqLR", 6)
     with pytest.raises(ValueError):
         hilbert_basis_bounded(2, 3, "EqLR", 0)
+    with pytest.raises(ValueError):
+        lattice_points_bounded(2, 3, "EqLR", -1)
+
+
+def test_search_budget():
+    # (6,3,B=4) counts 1,492,260 candidate rows and fits; (6,3,B=5)
+    # counts 13,728,792 and (6,3,B=6) 98,062,800, and neither does
+    hilbert.check_search_budget(6, 3, "EqLR", 4)
+    for B in (5, 6):
+        with pytest.raises(ValueError, match="budget"):
+            hilbert.check_search_budget(6, 3, "EqLR", B)
+    # without containment every lambda^j ranges over the whole box
+    with pytest.raises(ValueError, match="about .* GB, over the 4 GB budget"):
+        hilbert.check_search_budget(6, 3, "LR", 4)
+
+
+def test_huge_box_refused_before_it_is_listed(monkeypatch):
+    # C(105, 5), about 96 million partitions, would not even fit as a list
+    def listed(*args, **kwargs):
+        raise AssertionError("the box was listed")
+    monkeypatch.setattr(hilbert, "partitions_in_box", listed)
+    with pytest.raises(ValueError, match="at least .* GB, over the"):
+        lattice_points_bounded(5, 3, "EqLR", 100)
+
+
+def full_product_rows(r, s, kind, B):
+    """The member rows in box order, from the full product of the box
+    partitions: the reference that the pruned, chunked search must match."""
+    part_arr = np.array(partitions_in_box(r, B), dtype=np.int64)
+    flat = np.concatenate([part_arr[idx] for idx in
+                           np.indices((len(part_arr),) * s).reshape(s, -1)], axis=1)
+    rows = flat[hilbert._member_mask(flat, r, s, kind)]
+    return rows[rows.any(axis=1)]
+
+
+def count_mask_rows(monkeypatch):
+    """Wrap the membership mask; the returned list gets the row count of
+    every call."""
+    sizes = []
+    mask = hilbert._member_mask
+
+    def counted(flat_rows, *args):
+        sizes.append(len(flat_rows))
+        return mask(flat_rows, *args)
+    monkeypatch.setattr(hilbert, "_member_mask", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("chunk_bytes", [hilbert.MASK_CHUNK_BYTES, 5000])
+@pytest.mark.parametrize("kind", ["EqLR", "LR"])
+@pytest.mark.parametrize("r, s, B", [(1, 3, 3), (2, 3, 1), (2, 3, 3), (3, 3, 2),
+                                     (3, 3, 3), (4, 3, 2), (1, 4, 3), (2, 4, 2),
+                                     (2, 4, 3), (3, 4, 2)])
+def test_member_rows_match_full_product(monkeypatch, r, s, B, kind, chunk_bytes):
+    expected = full_product_rows(r, s, kind, B)
+    # 5000 bytes is a few rows per chunk, so chunks end inside the block of
+    # one nu and span the blocks of several
+    monkeypatch.setattr(hilbert, "MASK_CHUNK_BYTES", chunk_bytes)
+    sizes = count_mask_rows(monkeypatch)
+    assert np.array_equal(hilbert._member_rows(r, s, kind, B), expected)
+    chunk = hilbert._chunk_rows(r, s, kind)
+    assert all(n == chunk for n in sizes[:-1]) and 0 < sizes[-1] <= chunk
+
+
+@pytest.mark.parametrize("kind, candidates", [("EqLR", 37128), ("LR", 56**3)])
+def test_candidate_count(monkeypatch, kind, candidates):
+    # containment prunes EqLR to the sum over nu of k(nu)^2 candidates; LR
+    # has no containment forms, so each lambda^j ranges over all 56 box
+    # partitions
+    sizes = count_mask_rows(monkeypatch)
+    hilbert._member_rows(5, 3, kind, 3)
+    assert sum(sizes) == candidates
+
+
+def test_basis_restricts_to_smaller_bound():
+    # indecomposability does not depend on the box, so the B=4 basis
+    # restricted to blocks inside the 5 x 3 box is the B=3 basis
+    big = hilbert_basis_bounded(5, 3, "EqLR", 4).points
+    small = hilbert_basis_bounded(5, 3, "EqLR", 3).points
+    assert [p for p in big if max(map(max, p)) <= 3] == list(small)
+    assert len(big) == 195 and len(small) == 194
 
 
 def test_first_lattice_points():

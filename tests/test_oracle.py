@@ -100,3 +100,12 @@ def test_sampler_refuses_spectra_of_unequal_length():
     with pytest.raises(ValueError,
                        match=r"spectrum \(1\.0, 0\.0, 0\.0\) has length 3; expected 2"):
         sample_spectrum_sum([(1.0, 0.0), (1.0, 0.0, 0.0)], "equal", 1, seed=0)
+
+
+@pytest.mark.parametrize("bad", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                 (1.0, float("-inf"))])
+def test_sampler_refuses_non_finite_spectra(bad):
+    with pytest.raises(ValueError, match=r"is not finite"):
+        sample_spectrum_sum([bad, (1.0, 0.0)], "equal", 1, seed=0)
+    with pytest.raises(ValueError, match=r"is not finite"):
+        sample_spectrum_sum([(1.0, 0.0), bad], "majorized", 1, seed=0)
