@@ -42,7 +42,6 @@ from .rays import (
     type1_ray,
 )
 from .hilbert import (
-    first_lattice_points,
     hilbert_basis_bounded,
     is_indecomposable,
 )

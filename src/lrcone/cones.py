@@ -1,14 +1,22 @@
 """Exact inequality descriptions of the five cones and membership oracles.
 
 A cone point is a tuple of s blocks, each a tuple of r numbers (int or
-Fraction); the first s-1 blocks are the lambda^j, the last is nu. All
-arithmetic here is exact -- no floating point, no tolerances.
+Fraction); the first s-1 blocks are the lambda^j, the last is nu.
+
+Each system evaluates its forms in one place, `InequalitySystem.values`:
+an object-dtype matrix of the integer coefficients times the point, so int,
+Fraction and integers beyond int64 keep exact Python arithmetic -- no
+tolerances. The one float64 matrix is `InequalitySystem.float_rows`, for
+the bounded Hilbert search, whose points are integers small enough that
+float64 holds every product and sum exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
+
+import numpy as np
 
 from .partitions import (
     coef_of_subsets,
@@ -79,7 +87,10 @@ def parse_block(text):
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        out.append(Fraction(piece) if "/" in piece else int(piece))
+        try:
+            out.append(Fraction(piece) if "/" in piece else int(piece))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {piece!r}") from None
     return tuple(out)
 
 
@@ -172,9 +183,6 @@ class LinearForm:
     label: str             # chamber | nonneg | trace | containment | horn
     datum: HornDatum = None
 
-    def dot(self, flat):
-        return sum(c * v for c, v in zip(self.coeffs, flat) if c)
-
 
 @dataclass(frozen=True)
 class InequalitySystem:
@@ -182,33 +190,35 @@ class InequalitySystem:
     s: int
     kind: str
     forms: tuple
+    # the coefficients of the forms as an object array of ints (rows =
+    # forms), and which forms are equalities
+    coeffs: np.ndarray = field(repr=False, compare=False)
+    equal: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self):
         return self.r * self.s
 
+    def values(self, x):
+        """The value of every form at the point x, exactly: Python arithmetic
+        on the entries of x, summed left to right."""
+        flat = np.array(flatten(check_point(x, self.r, self.s)), dtype=object)
+        return self.coeffs @ flat
+
+    def holds(self, vals):
+        """Whether the form values `vals` satisfy every relation."""
+        return bool((vals >= 0).all() and (vals[self.equal] == 0).all())
+
     def is_member(self, x):
-        flat = flatten(check_point(x, self.r, self.s))
-        for f in self.forms:
-            v = f.dot(flat)
-            if f.rel == "==" and v != 0:
-                return False
-            if f.rel == ">=" and v < 0:
-                return False
-        return True
+        return self.holds(self.values(x))
 
-    def tight_normals(self, x):
-        """Coefficient vectors of all forms active at x (equalities always)."""
-        flat = flatten(check_point(x, self.r, self.s))
-        return [f.coeffs for f in self.forms if f.rel == "==" or f.dot(flat) == 0]
-
-    def matrix(self):
-        """Form coefficients as a numpy int array (rows = forms), plus the
-        parallel list of relations; for batch filtering of lattice points."""
-        import numpy as np
-
-        return (np.array([f.coeffs for f in self.forms], dtype=np.int64),
-                [f.rel for f in self.forms])
+    @cached_property
+    def float_rows(self):
+        """The forms as float64 rows, each equality as two opposite rows, so
+        that a point is a member iff every row is >= 0 at it. Exact for
+        points whose entries are small integers."""
+        mat = self.coeffs.astype(np.float64)
+        return np.concatenate([mat, -mat[self.equal]])
 
 
 def _unit(idx, n):
@@ -265,7 +275,9 @@ def inequality_system(r, s, kind):
                 v[(s - 1) * r + i] = 1
                 v[k * r + i] = -1
                 forms.append(LinearForm(tuple(v), ">=", "containment"))
-    return InequalitySystem(r, s, kind, tuple(forms))
+    return InequalitySystem(r, s, kind, tuple(forms),
+                            np.array([f.coeffs for f in forms], dtype=object),
+                            np.array([f.rel == "==" for f in forms]))
 
 
 def member(x, kind):

@@ -37,8 +37,8 @@ from .cones import check_point, flatten, inequality_system, member, normalize_ki
 SEARCH_BYTE_BUDGET = 4 * 10**9
 # Bytes of one chunk of candidate rows in the membership mask: per row its
 # s box indices, its r*s flat entries three times (the pieces, the row and
-# its float64 copy), and its value under every form. About 1,700 rows at
-# r = 6, s = 3 (552 forms).
+# its float64 copy), and its value under every row of the form matrix.
+# About 1,700 rows at r = 6, s = 3 (552 forms).
 MASK_CHUNK_BYTES = 2**23
 
 
@@ -57,7 +57,7 @@ def _choices(parts, nu, contained):
 
 def _chunk_rows(r, s, kind):
     """Candidate rows per call of the membership mask."""
-    per_row = 8 * (s + 3 * r * s + len(inequality_system(r, s, kind).forms))
+    per_row = 8 * (s + 3 * r * s + len(inequality_system(r, s, kind).float_rows))
     return max(1, MASK_CHUNK_BYTES // per_row)
 
 
@@ -98,15 +98,12 @@ def check_search_budget(r, s, kind, B):
 
 def _member_mask(flat_rows, r, s, kind):
     """Boolean mask of cone membership for an integer array of flat points."""
-    mat, rels = inequality_system(r, s, kind).matrix()
-    # one row of values per form, so that each comparison reads contiguously
-    vals = mat.astype(np.float64) @ flat_rows.T.astype(np.float64)
+    mat = inequality_system(r, s, kind).float_rows
+    # one row of values per mask row, so that each comparison reads contiguously
+    vals = mat @ flat_rows.T.astype(np.float64)
     ok = np.ones(len(flat_rows), dtype=bool)
-    for form, rel in zip(vals, rels):
-        if rel == "==":
-            ok &= form == 0
-        else:
-            ok &= form >= 0
+    for row in vals:
+        ok &= row >= 0
     return ok
 
 
@@ -276,14 +273,3 @@ def is_indecomposable(x, kind):
     """Whether x cannot be written as a sum of two nonzero lattice points."""
     return decomposition_witness(x, kind) is None
 
-
-def first_lattice_points(rays, kind):
-    """The primitive points of a ray set, verified indecomposable."""
-    out = []
-    for p in rays:
-        if not is_indecomposable(p, kind):
-            raise AssertionError(
-                f"primitive ray point {p} is decomposable; extremality and "
-                "primitivity should forbid this")
-        out.append(p)
-    return out

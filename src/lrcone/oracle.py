@@ -136,15 +136,8 @@ def spectrum_violation(spectra, result, mode):
     s = len(spectra) + 1
     kind = "C" if mode == "equal" else "EqC"
     sys = inequality_system(r, s, kind)
-    flat = [v for vec in spectra for v in vec] + list(result)
-    worst = 0.0
-    for f in sys.forms:
-        v = sum(c * x for c, x in zip(f.coeffs, flat) if c)
-        if f.rel == "==":
-            worst = max(worst, abs(v))
-        else:
-            worst = max(worst, -v if v < 0 else 0.0)
-    return worst
+    vals = sys.values([*spectra, result])
+    return max(0.0, np.where(sys.equal, abs(vals), -vals).max())
 
 
 def _random_unitary(rng, r):

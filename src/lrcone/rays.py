@@ -111,10 +111,12 @@ def certify(x, kind):
     kind = normalize_kind(kind)
     if not any(flatten(x)):
         raise ValueError("the zero point spans no ray")
-    if not member(x, kind):
-        raise ValueError(f"{format_point(x)} is not in {kind}")
     sys = inequality_system(r, s, kind)
-    rank = exact_rank(sys.tight_normals(x))
+    vals = sys.values(x)
+    if not sys.holds(vals):
+        raise ValueError(f"{format_point(x)} is not in {kind}")
+    # the forms tight at x, every equality among them since x is a member
+    rank = exact_rank(sys.coeffs[vals == 0].tolist())
     p = primitive(x)
     return Ray(p, p == x, rank)
 

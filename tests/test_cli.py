@@ -140,6 +140,7 @@ ROW12 = ",".join(["1"] * 12)
     (["horn", "--r", "12", "--d", "6"], False),
     (["horn", "--r", "2", "--d", "1", "--s", "1000000000"], False),
     (["member", "--point", ";".join([ROW12] * 3)], False),
+    (["member", "--point", "1/0,0;0,0;0,0"], False),
     (["sample", "--spectra", ";".join([ROW12] * 2)], False),
     (["rays", "--r", "6", "--s", "5"], False),
     (["rays", "--r", "9", "--s", "8", "--extended"], False),

@@ -3,10 +3,12 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from lrcone.partitions import multi_coef, partitions_in_box, subpartitions, trim
 from lrcone.cones import (
+    KINDS,
     HornDatum,
     all_horn_data,
     enumerate_horn,
@@ -19,6 +21,7 @@ from lrcone.cones import (
     parse_subset,
     shadow,
 )
+from lrcone.rays import certify, exact_rank
 
 
 def test_parse_and_format_roundtrip():
@@ -100,6 +103,62 @@ def test_member_examples():
 def test_member_rational_point():
     assert member(parse_point("1/2,0;1/2,0;1/2,1/2"), "LR")
     assert not member(parse_point("1/3,0;0,0;1/2,0"), "LR")
+    # the EqLR trace form is -1/(2 * 3**40) at y; evaluated on y rounded to
+    # float64 it reads 0
+    y = parse_point(f"1/2,0;1/2,0;{3**40 // 2 + 1}/{3**40},1/2")
+    assert not member(y, "EqLR") and not member(y, "LR")
+
+
+def _plain_values(sys, x):
+    """Every form's value at x, by a plain Python sum over its nonzero
+    coefficients."""
+    flat = [v for b in x for v in b]
+    return [sum(c * v for c, v in zip(f.coeffs, flat) if c) for f in sys.forms]
+
+
+BIG = 2**70
+
+
+@pytest.mark.parametrize("x", [
+    ((BIG + 1, 0), (BIG, 0), (2 * BIG, 0)),
+    ((BIG, BIG - 1), (3, 1), (BIG + 3, BIG - 1)),
+    ((-BIG, 2**63), (2**64, -1), (BIG * BIG, 7)),
+    ((Fraction(1, 3), 0), (Fraction(2, 3), Fraction(1, 3)), (1, Fraction(1, 3))),
+    ((Fraction(BIG + 1, 3), 1), (Fraction(1, BIG), 0), (5, Fraction(-7, 2))),
+    ((0.1, -0.7), (1e-17, 3.3), (2.5e16, 0.30000000000000004)),
+], ids=["big-near-lr", "big", "big-signs", "fraction", "big-fraction", "float"])
+def test_values_match_plain_python(x):
+    for kind in KINDS:
+        sys = inequality_system(2, 3, kind)
+        vals = sys.values(x)
+        assert list(vals) == _plain_values(sys, x)
+        assert ({type(v) for v in vals} <= {float} if isinstance(x[0][0], float)
+                else not any(isinstance(v, float) for v in vals))
+
+
+def test_exact_verdict_and_rank():
+    # the trace form is 1 at x: a float64 evaluation rounds 2**70 + 1 to
+    # 2**70, reads 0 and would put x in LR
+    x = ((BIG + 1, 0), (BIG, 0), (2 * BIG, 0))
+    sys = inequality_system(2, 3, "LR")
+    floats = sys.coeffs.astype(np.float64) @ np.array(
+        [v for b in x for v in b], dtype=np.float64)
+    assert (floats >= 0).all() and (floats[sys.equal] == 0).all()
+    assert member(x, "EqLR") and not member(x, "LR")
+    with pytest.raises(ValueError):
+        certify(x, "LR")
+    # the same forms are tight at x as at the small point of that pattern
+    eqlr = inequality_system(2, 3, "EqLR")
+    tight = [f.coeffs for f, v in zip(eqlr.forms, _plain_values(eqlr, x))
+             if f.rel == "==" or v == 0]
+    ray = certify(x, "EqLR")
+    assert ray.tight_rank == exact_rank(tight)
+    assert ray.tight_rank == certify(((11, 0), (10, 0), (20, 0)), "EqLR").tight_rank
+    assert ray.point == x and ray.primitive
+    # a Fraction point certifies as its primitive integer multiple
+    ray = certify(parse_point("1/2,0;1/2,0;1/2,1/2"), "LR")
+    assert not ray.primitive and ray.point == parse_point("1,0;1,0;1,1")
+    assert ray.tight_rank == certify(ray.point, "LR").tight_rank
 
 
 def test_member_shape_error():
@@ -144,7 +203,8 @@ def test_nu_r_nonnegativity_is_implied():
     # integer partition-tuple point with nu_r < 0 (footnote check, r <= 3)
     for r in (2, 3):
         sys = inequality_system(r, 3, "LR")
-        keep = [f for f in sys.forms]
+        keep = np.array([f.coeffs[-1] == 0 or f.label in ("trace", "horn")
+                         for f in sys.forms])
         for lam1 in partitions_in_box(r, 2):
             for lam2 in partitions_in_box(r, 2):
                 for nu_hi in partitions_in_box(r - 1, 2 * r):
@@ -152,12 +212,9 @@ def test_nu_r_nonnegativity_is_implied():
                         if nu_hi and nu_hi[-1] < nu_r:
                             continue
                         nu = nu_hi + (nu_r,)
-                        x = (lam1, lam2, nu)
-                        flat = [v for b in x for v in b]
-                        ok = all((f.dot(flat) == 0) if f.rel == "=="
-                                 else (f.dot(flat) >= 0) for f in keep
-                                 if f.coeffs[-1] == 0 or f.label in ("trace", "horn"))
-                        if ok:
+                        vals = sys.values((lam1, lam2, nu))
+                        holds = np.where(sys.equal, vals == 0, vals >= 0)
+                        if holds[keep].all():
                             assert nu_r >= 0
 
 

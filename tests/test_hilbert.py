@@ -8,7 +8,6 @@ from lrcone.cones import member, parse_point, point_add
 from lrcone.partitions import partitions_in_box
 from lrcone.hilbert import (
     decomposition_witness,
-    first_lattice_points,
     hilbert_basis_bounded,
     is_indecomposable,
     lattice_points_bounded,
@@ -186,8 +185,6 @@ def test_basis_restricts_to_smaller_bound():
     assert len(big) == 195 and len(small) == 194
 
 
-def test_first_lattice_points():
-    rays = enumerate_rays(2, 3, "EqLR")
-    assert first_lattice_points(rays, "EqLR") == list(rays)
-    with pytest.raises(AssertionError):
-        first_lattice_points([parse_point("2,0;2,0;2,2")], "LR")
+def test_primitive_rays_are_indecomposable():
+    assert all(is_indecomposable(p, "EqLR") for p in enumerate_rays(2, 3, "EqLR"))
+    assert not is_indecomposable(parse_point("2,0;2,0;2,2"), "LR")
