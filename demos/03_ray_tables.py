@@ -2,8 +2,8 @@
 
 Prints the complete EqLR_r^3 ray lists for r <= 3, split into the rays
 lying on the LR face (trace tight) and the strictly equivariant ones,
-then the LR/EqLR ray counts for r <= 5 (44 / 195 at r = 5, which takes
-about 5 s).
+then the LR/EqLR ray counts for r <= 5 (44 / 195 at r = 5); the whole demo
+runs in about 1.5 s.
 """
 
 from lrcone.cones import format_point, member

@@ -36,7 +36,8 @@ from .oracle import sample_spectrum_sum
 # over every Horn facet (data over s-1 subsets) and the Hilbert search tests
 # up to C(r+B, r)^s candidate tuples (fewer under containment), so cost
 # climbs steeply with r and s. `facet` enumerates the rays of two smaller
-# cones and is held to the rays ceilings.
+# cones and is held to the rays ceilings; `tables --which hilbert-counts`
+# runs a Hilbert search per row and is held to the hilbert ceilings.
 CEILINGS = {"rays": ((6, 9), (5, 8)), "hilbert": ((5, 7), (5, 8)),
             "tables": ((6, 9), (5, 8))}
 # Every command that builds Horn data is also held, with or without
@@ -169,18 +170,23 @@ def cmd_hilbert(args):
 
 
 def cmd_tables(args):
-    _check_ceilings(args, "tables", args.max_r, args.s, ("--max-r", args.max_r))
-    eqs = {r: enumerate_rays(r, args.s, "EqLR") for r in range(1, args.max_r + 1)}
-    if args.which == "ray-counts":
+    counts = args.which == "hilbert-counts"
+    _check_ceilings(args, "hilbert" if counts else "tables", args.max_r, args.s,
+                    ("--max-r", args.max_r))
+    eqs, bounds = {}, {}
+    for r in range(1, args.max_r + 1):
+        eqs[r] = enumerate_rays(r, args.s, "EqLR")
+        if counts:
+            # the bound of row r is one more than the largest part of its
+            # rays; it is checked against the byte budget as soon as the
+            # rays are known, and every row is checked before any search
+            bounds[r] = max(p[-1][0] for p in eqs[r]) + 1
+            check_search_budget(r, args.s, "EqLR", bounds[r])
+    if not counts:
         header = ("r", "LR", "EqLR")
         rows = [(r, len(enumerate_rays(r, args.s, "LR")), len(eq))
                 for r, eq in eqs.items()]
     else:
-        # the bound of row r is one more than the largest part of its rays;
-        # every bound is checked against the byte budget before any search
-        bounds = {r: max(p[-1][0] for p in eq) + 1 for r, eq in eqs.items()}
-        for r, bound in bounds.items():
-            check_search_budget(r, args.s, "EqLR", bound)
         header = ("r", "rays", "hilbert")
         rows = [(r, len(eq),
                  len(hilbert_basis_bounded(r, args.s, "EqLR", bounds[r]).points))

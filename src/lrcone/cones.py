@@ -3,12 +3,14 @@
 A cone point is a tuple of s blocks, each a tuple of r numbers (int or
 Fraction); the first s-1 blocks are the lambda^j, the last is nu.
 
-Each system evaluates its forms in one place, `InequalitySystem.values`:
-an object-dtype matrix of the integer coefficients times the point, so int,
-Fraction and integers beyond int64 keep exact Python arithmetic -- no
-tolerances. The one float64 matrix is `InequalitySystem.float_rows`, for
-the bounded Hilbert search, whose points are integers small enough that
-float64 holds every product and sum exactly.
+Every cone is {x : Ax >= 0}: each form is a row of A, and an equality
+(a trace, or a CSL last part) is written as the form and its negative, both
+>= 0. Each system evaluates its forms in one place,
+`InequalitySystem.values`: an object-dtype matrix of the integer
+coefficients times the point, so int, Fraction and integers beyond int64
+keep exact Python arithmetic -- no tolerances. The one float64 matrix is
+`InequalitySystem.float_rows`, for the bounded Hilbert search, whose points
+are integers small enough that float64 holds every product and sum exactly.
 """
 
 from dataclasses import dataclass, field
@@ -178,8 +180,8 @@ def all_horn_data(r, s):
 
 @dataclass(frozen=True)
 class LinearForm:
+    """The form `coeffs . x >= 0`."""
     coeffs: tuple          # length r*s
-    rel: str               # ">=" or "=="
     label: str             # chamber | nonneg | trace | containment | horn
     datum: HornDatum = None
 
@@ -190,10 +192,8 @@ class InequalitySystem:
     s: int
     kind: str
     forms: tuple
-    # the coefficients of the forms as an object array of ints (rows =
-    # forms), and which forms are equalities
+    # the coefficients of the forms as an object array of ints (rows = forms)
     coeffs: np.ndarray = field(repr=False, compare=False)
-    equal: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self):
@@ -206,19 +206,17 @@ class InequalitySystem:
         return self.coeffs @ flat
 
     def holds(self, vals):
-        """Whether the form values `vals` satisfy every relation."""
-        return bool((vals >= 0).all() and (vals[self.equal] == 0).all())
+        """Whether the form values `vals` are all >= 0."""
+        return bool((vals >= 0).all())
 
     def is_member(self, x):
         return self.holds(self.values(x))
 
     @cached_property
     def float_rows(self):
-        """The forms as float64 rows, each equality as two opposite rows, so
-        that a point is a member iff every row is >= 0 at it. Exact for
-        points whose entries are small integers."""
-        mat = self.coeffs.astype(np.float64)
-        return np.concatenate([mat, -mat[self.equal]])
+        """The forms as float64 rows. Exact for points whose entries are
+        small integers."""
+        return self.coeffs.astype(np.float64)
 
 
 def _unit(idx, n):
@@ -247,37 +245,39 @@ def inequality_system(r, s, kind):
         raise ValueError(f"need r >= 1 and s >= 3, got r={r}, s={s}")
     n = r * s
     forms = []
+
+    def add(v, label, equality=False):
+        forms.append(LinearForm(tuple(v), label))
+        if equality:
+            forms.append(LinearForm(tuple(-c for c in v), label))
+
     # (i) chamber: each block weakly decreasing
     for k in range(s):
         for i in range(r - 1):
             v = [0] * n
             v[k * r + i] = 1
             v[k * r + i + 1] = -1
-            forms.append(LinearForm(tuple(v), ">=", "chamber"))
+            add(v, "chamber")
     # (ii)/(ii') trace
-    v = [1] * (n - r) + [-1] * r
-    trace_rel = ">=" if kind in ("EqC", "EqLR") else "=="
-    forms.append(LinearForm(tuple(v), trace_rel, "trace"))
+    add([1] * (n - r) + [-1] * r, "trace", kind not in ("EqC", "EqLR"))
     # (iii) Horn inequalities, all 1 <= d < r
     for h in all_horn_data(r, s):
-        forms.append(LinearForm(horn_form(h), ">=", "horn", h))
+        forms.append(LinearForm(horn_form(h), "horn", h))
     # last-part sign conditions
     if kind in ("LR", "EqLR", "CSL"):
-        rel = "==" if kind == "CSL" else ">="
         for k in range(s - 1):
-            forms.append(LinearForm(tuple(_unit(k * r + r - 1, n)), rel, "nonneg"))
+            add(_unit(k * r + r - 1, n), "nonneg", kind == "CSL")
     if kind == "EqLR":
-        forms.append(LinearForm(tuple(_unit(n - 1, n)), ">=", "nonneg"))
+        add(_unit(n - 1, n), "nonneg")
         # (iv) containment nu >= lambda^j
         for k in range(s - 1):
             for i in range(r):
                 v = [0] * n
                 v[(s - 1) * r + i] = 1
                 v[k * r + i] = -1
-                forms.append(LinearForm(tuple(v), ">=", "containment"))
+                add(v, "containment")
     return InequalitySystem(r, s, kind, tuple(forms),
-                            np.array([f.coeffs for f in forms], dtype=object),
-                            np.array([f.rel == "==" for f in forms]))
+                            np.array([f.coeffs for f in forms], dtype=object))
 
 
 def member(x, kind):

@@ -25,11 +25,12 @@ elements found in the layers below it.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .partitions import partitions_in_box, subpartitions, weight
-from .cones import check_point, flatten, inequality_system, member, normalize_kind
+from .cones import check_point, flatten, inequality_system, normalize_kind, point_sub
 
 # The only memory guard: bytes the bounded search may allocate, as counted
 # by check_search_budget. (r,s,B) = (6,3,4) needs about 0.8 GB and runs;
@@ -229,44 +230,32 @@ def decomposition_witness(x, kind):
     """A pair (y, x-y) of nonzero members summing to x, or None.
 
     Exhaustive over componentwise-dominated partition tuples y with
-    |y| <= |x|/2; both halves of a decomposition are forced to be dominated
-    by x since all entries are nonnegative.
+    0 < |y| <= |x|/2, in lexicographic order of the block choices; both
+    halves of a decomposition are forced to be dominated by x since all
+    entries are nonnegative. The forms are linear, so their values at x - y
+    are their values at x minus those at y.
     """
     x = check_point(x)
     kind = normalize_kind(kind)
     if not any(flatten(x)):
         raise ValueError("the zero point is not a semigroup element")
-    if not member(x, kind):
+    system = inequality_system(len(x[0]), len(x), kind)
+    vx = system.values(x)
+    if not system.holds(vx):
         raise ValueError("not a lattice point of the semigroup")
     half = sum(flatten(x)) / 2
-    block_choices = []
-    for block in x:
-        subs = [mu for mu in subpartitions(block)
-                if all(a - b >= c - d for (a, b), (c, d)
-                       in zip(zip(block, mu), zip(block[1:], mu[1:])))]
-        block_choices.append(subs)
-
-    def rec(i, acc, w):
-        if w > half:
-            return None
-        if i == len(block_choices):
-            y = tuple(acc)
-            if not any(flatten(y)):
-                return None
-            rest = tuple(tuple(a - b for a, b in zip(bx, by))
-                         for bx, by in zip(x, y))
-            if not any(flatten(rest)):
-                return None
-            if member(y, kind) and member(rest, kind):
-                return (y, rest)
-            return None
-        for mu in block_choices[i]:
-            hit = rec(i + 1, acc + [mu], w + weight(mu))
-            if hit:
-                return hit
-        return None
-
-    return rec(0, [], 0)
+    block_choices = [
+        [mu for mu in subpartitions(block)
+         if all(a - b >= c - d for (a, b), (c, d)
+                in zip(zip(block, mu), zip(block[1:], mu[1:])))]
+        for block in x]
+    for y in product(*block_choices):
+        if not 0 < sum(map(weight, y)) <= half:
+            continue
+        vy = system.values(y)
+        if system.holds(vy) and system.holds(vx - vy):
+            return (y, point_sub(x, y))
+    return None
 
 
 def is_indecomposable(x, kind):

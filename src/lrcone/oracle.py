@@ -36,12 +36,13 @@ def _primitive_vec(v):
 
 
 def dd_rays(system, ceiling=9):
-    """Extremal rays of {x : forms hold}, via double description.
+    """Extremal rays of {x : Ax >= 0}, the rows of A being the system's
+    forms, via double description.
 
-    Starts from all of R^n as a lineality basis; equalities are processed
-    first. Raises LinealityError if lines survive every constraint (the
-    cone is not pointed). Returns primitive integer rays in block form,
-    sorted.
+    Starts from all of R^n as a lineality basis and adds the forms in order;
+    an equality is a form and its negative, each an ordinary inequality
+    step. Raises LinealityError if lines survive every constraint (the cone
+    is not pointed). Returns primitive integer rays in block form, sorted.
     """
     n = system.dim
     if n > ceiling:
@@ -53,8 +54,7 @@ def dd_rays(system, ceiling=9):
     def tight(vec):
         return frozenset(i for i, a in enumerate(processed) if _dot(a, vec) == 0)
 
-    forms = sorted(system.forms, key=lambda f: f.rel != "==")
-    for form in forms:
+    for form in system.forms:
         a = form.coeffs
         vals_l = [_dot(a, l) for l in lines]
         hit = next((i for i, v in enumerate(vals_l) if v != 0), None)
@@ -74,8 +74,7 @@ def dd_rays(system, ceiling=9):
                 new_rays.append(vec)
             lines = new_lines
             rays = [(vec, None) for vec in new_rays]
-            if form.rel == ">=":
-                rays.append((l0 if v0 > 0 else tuple(-x for x in l0), None))
+            rays.append((l0 if v0 > 0 else tuple(-x for x in l0), None))
             processed.append(a)
             rays = [(vec, tight(vec)) for vec, _ in rays]
             continue
@@ -84,7 +83,6 @@ def dd_rays(system, ceiling=9):
         pos = [rv for rv in vals if rv[2] > 0]
         zero = [rv for rv in vals if rv[2] == 0]
         neg = [rv for rv in vals if rv[2] < 0]
-        keep_neg = form.rel == "=="
         new = []
         for vp, tp, ap in pos:
             for vm, tm, am in neg:
@@ -97,10 +95,7 @@ def dd_rays(system, ceiling=9):
                     if any(vec):
                         new.append(vec)
         processed.append(a)
-        if form.rel == "==":
-            survivors = [vec for vec, _, _ in zero]
-        else:
-            survivors = [vec for vec, _, _ in pos + zero]
+        survivors = [vec for vec, _, _ in pos + zero]
         rays = [(vec, tight(vec)) for vec in survivors + new]
     if lines:
         raise LinealityError(
@@ -136,8 +131,7 @@ def spectrum_violation(spectra, result, mode):
     s = len(spectra) + 1
     kind = "C" if mode == "equal" else "EqC"
     sys = inequality_system(r, s, kind)
-    vals = sys.values([*spectra, result])
-    return max(0.0, np.where(sys.equal, abs(vals), -vals).max())
+    return max(0.0, (-sys.values([*spectra, result])).max())
 
 
 def _random_unitary(rng, r):

@@ -115,7 +115,7 @@ def certify(x, kind):
     vals = sys.values(x)
     if not sys.holds(vals):
         raise ValueError(f"{format_point(x)} is not in {kind}")
-    # the forms tight at x, every equality among them since x is a member
+    # the forms tight at x: both rows of each equality, since x is a member
     rank = exact_rank(sys.coeffs[vals == 0].tolist())
     p = primitive(x)
     return Ray(p, p == x, rank)

@@ -12,6 +12,7 @@ import pytest
 import lrcone
 from lrcone import cli, hilbert
 from lrcone.cli import main
+from lrcone.rays import enumerate_rays
 
 
 def run(capsys, *argv):
@@ -127,6 +128,9 @@ ROW12 = ",".join(["1"] * 12)
     (["hilbert", "--r", "6", "--bound", "6", "--extended"], False),
     (["tables", "--which", "ray-counts", "--max-r", "7"], True),
     (["tables", "--which", "ray-counts", "--max-r", "10", "--extended"], False),
+    # hilbert-counts runs a Hilbert search per row: the hilbert ceilings
+    (["tables", "--which", "hilbert-counts", "--max-r", "6"], True),
+    (["tables", "--which", "hilbert-counts", "--max-r", "8", "--extended"], False),
     # s ceilings: 5 by default, 8 with --extended
     (["rays", "--r", "2", "--s", "12"], False),
     (["rays", "--r", "2", "--s", "6"], True),
@@ -163,14 +167,22 @@ def test_refused_at_once(capsys, argv, suggests_extended):
 def test_tables_hilbert_counts_refused_before_any_search(capsys, monkeypatch):
     # with a 20 MB budget rows r <= 3 fit (about 9 MB each) and r = 4, with
     # bound 4, does not (about 33 MB): every row's budget is checked before
-    # the first search starts
+    # the first search starts, and as soon as its rays are known, so the
+    # rays of row 5 are never enumerated
     def search(*args, **kwargs):
         raise AssertionError("a Hilbert search started")
+    enumerated = []
+
+    def rays(r, s, kind):
+        enumerated.append(r)
+        return enumerate_rays(r, s, kind)
     monkeypatch.setattr(cli, "hilbert_basis_bounded", search)
+    monkeypatch.setattr(cli, "enumerate_rays", rays)
     monkeypatch.setattr(hilbert, "SEARCH_BYTE_BUDGET", 2 * 10**7)
-    code, out, err = run(capsys, "tables", "--which", "hilbert-counts", "--max-r", "4")
+    code, out, err = run(capsys, "tables", "--which", "hilbert-counts", "--max-r", "5")
     assert code == 2 and out == ""
     assert "r=4, s=3, B=4" in err and "budget" in err
+    assert enumerated == [1, 2, 3, 4]
 
 
 def test_tables_hilbert_counts(capsys):

@@ -76,11 +76,14 @@ def test_inequality_system_r1_eqlr():
 
 
 def test_trace_is_equality_for_lr():
+    # an equality is the form and, right after it, its negative
+    v = (1, 1, 1, 1, -1, -1)
     sys = inequality_system(2, 3, "LR")
-    trace = [f for f in sys.forms if f.label == "trace"]
-    assert len(trace) == 1 and trace[0].rel == "=="
+    at = [i for i, f in enumerate(sys.forms) if f.label == "trace"]
+    assert [sys.forms[i].coeffs for i in at] == [v, tuple(-c for c in v)]
+    assert at[1] == at[0] + 1
     eq_sys = inequality_system(2, 3, "EqLR")
-    assert [f.rel for f in eq_sys.forms if f.label == "trace"] == [">="]
+    assert [f.coeffs for f in eq_sys.forms if f.label == "trace"] == [v]
 
 
 def test_worked_facet_form_present():
@@ -107,6 +110,50 @@ def test_member_rational_point():
     # float64 it reads 0
     y = parse_point(f"1/2,0;1/2,0;{3**40 // 2 + 1}/{3**40},1/2")
     assert not member(y, "EqLR") and not member(y, "LR")
+
+
+def _member_by_definition(x, kind):
+    """Membership of x in C, CSL or LR, written out from the definitions:
+    weakly decreasing blocks, equal traces, every Horn inequality, and the
+    last parts of lambda^1, ..., lambda^{s-1}: >= 0 in LR, 0 in CSL."""
+    r, s = len(x[0]), len(x)
+    if any(a < b for block in x for a, b in zip(block, block[1:])):
+        return False
+    if sum(sum(block) for block in x[:-1]) != sum(x[-1]):
+        return False
+    if any(horn_slack(x, h) < 0 for h in all_horn_data(r, s)):
+        return False
+    last = [block[-1] for block in x[:-1]]
+    if kind == "LR":
+        return all(v >= 0 for v in last)
+    if kind == "CSL":
+        return all(v == 0 for v in last)
+    return True
+
+
+def _definition_points():
+    """r = 2: every block of entries -1..2, decreasing or not; r = 3: the
+    decreasing blocks of entries -1..2; r = 2: the decreasing blocks of
+    entries -1/2, 0, 1/3, 1/2, 1."""
+    blocks2 = list(product(range(-1, 3), repeat=2))
+    blocks3 = [b for b in product(range(-1, 3), repeat=3) if b[0] >= b[1] >= b[2]]
+    fractions = [Fraction(k, 6) for k in (-3, 0, 2, 3, 6)]
+    blocksq = [b for b in product(fractions, repeat=2) if b[0] >= b[1]]
+    return [x for blocks in (blocks2, blocks3, blocksq)
+            for x in product(blocks, repeat=3)]
+
+
+@pytest.mark.parametrize("kind", ["C", "CSL", "LR"])
+def test_member_matches_the_definitions(kind):
+    points = _definition_points()
+    verdicts = [member(x, kind) for x in points]
+    assert verdicts == [_member_by_definition(x, kind) for x in points]
+    assert any(verdicts) and not all(verdicts)
+    # a member with nu_1 one unit up or down is off the trace
+    for x in (x for x, inside in zip(points, verdicts) if inside):
+        for d in (-1, 1):
+            y = x[:-1] + ((x[-1][0] + d,) + x[-1][1:],)
+            assert not member(y, kind) and not _member_by_definition(y, kind)
 
 
 def _plain_values(sys, x):
@@ -143,14 +190,14 @@ def test_exact_verdict_and_rank():
     sys = inequality_system(2, 3, "LR")
     floats = sys.coeffs.astype(np.float64) @ np.array(
         [v for b in x for v in b], dtype=np.float64)
-    assert (floats >= 0).all() and (floats[sys.equal] == 0).all()
+    assert (floats >= 0).all()
     assert member(x, "EqLR") and not member(x, "LR")
     with pytest.raises(ValueError):
         certify(x, "LR")
     # the same forms are tight at x as at the small point of that pattern
     eqlr = inequality_system(2, 3, "EqLR")
     tight = [f.coeffs for f, v in zip(eqlr.forms, _plain_values(eqlr, x))
-             if f.rel == "==" or v == 0]
+             if v == 0]
     ray = certify(x, "EqLR")
     assert ray.tight_rank == exact_rank(tight)
     assert ray.tight_rank == certify(((11, 0), (10, 0), (20, 0)), "EqLR").tight_rank
@@ -213,8 +260,7 @@ def test_nu_r_nonnegativity_is_implied():
                             continue
                         nu = nu_hi + (nu_r,)
                         vals = sys.values((lam1, lam2, nu))
-                        holds = np.where(sys.equal, vals == 0, vals >= 0)
-                        if holds[keep].all():
+                        if (vals[keep] >= 0).all():
                             assert nu_r >= 0
 
 

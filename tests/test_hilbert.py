@@ -34,6 +34,16 @@ def test_doubling_is_decomposable():
     assert member(y, "LR") and member(rest, "LR")
 
 
+def test_witness_is_the_first_in_search_order():
+    # the search goes through y block by block, each block over its
+    # subpartitions in order, and returns the first y that splits x
+    x = parse_point("1,0;1,0;1,1")
+    assert decomposition_witness(point_add(x, x), "LR") == (x, x)
+    x = parse_point("2,2,1;2,1,1;3,2,2")
+    y = ((0, 0, 0), (1, 0, 0), (1, 0, 0))
+    assert decomposition_witness(x, "EqLR") == (y, parse_point("2,2,1;1,1,1;2,2,2"))
+
+
 def test_nonray_indecomposable_example():
     # an extremal ray of EqLR_2 that is not in LR_2
     assert is_indecomposable(parse_point("1,1;1,1;2,1"), "EqLR")
