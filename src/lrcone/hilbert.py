@@ -18,12 +18,18 @@ h <= x. This is equivalent to the pairwise-summand definition and avoids a
 quadratic pass over all members. Each member row gets an exact mixed-radix
 code, base B+1 per coordinate, so the code of x - h is code(x) - code(h)
 whenever h <= x, and membership of x - h is one binary search in the
-sorted member codes. Two members of the same weight never decompose one
-another, so each weight layer is decided in one batch against the basis
-elements found in the layers below it.
+sorted codes of the members of weight |x| - |h|. Two members of the same
+weight never decompose one another, so the sieve goes up the weight layers
+and holds the basis found so far as one group per weight. Each layer is
+decided against each lighter group in one batch: one domination test of
+every (element, row) pair, on a narrow unsigned copy of the rows, cut into
+chunks of at most MASK_CHUNK_BYTES; one binary search per dominated pair;
+and one compaction of the layer, which drops the rows shown decomposable
+before the next group is tried.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -39,7 +45,8 @@ SEARCH_BYTE_BUDGET = 4 * 10**9
 # Bytes of one chunk of candidate rows in the membership mask: per row its
 # s box indices, its r*s flat entries three times (the pieces, the row and
 # its float64 copy), and its value under every row of the form matrix.
-# About 1,700 rows at r = 6, s = 3 (552 forms).
+# About 1,700 rows at r = 6, s = 3 (552 forms). The sieve cuts its
+# domination tests into chunks of the same size.
 MASK_CHUNK_BYTES = 2**23
 
 
@@ -69,10 +76,13 @@ def check_search_budget(r, s, kind, B):
     The search builds, nu by nu, T = sum over nu of k(nu)^(s-1) candidate
     rows, where k(nu) is the number of box partitions each lambda^j may take
     beside nu, and keeps the members among them. The estimate counts one
-    mask chunk, the index block of the largest nu three times (its grid,
-    stacked with nu, and joined to the rows before it), and T kept rows,
-    each held up to three times (as index columns, then as flat rows: built,
-    and copied twice by the sieve)."""
+    chunk of MASK_CHUNK_BYTES (a mask chunk during the search, then a sieve
+    chunk, which take turns), the index block of the largest nu three times
+    (its grid, stacked with nu, and joined to the rows before it), and T
+    kept rows, each counted three times at 8 * (s + r*s) bytes: it is held
+    as index columns, then as a flat row, then by the sieve as its code,
+    sorted code, weight, position in weight order and narrow copy (32 + r*s
+    bytes)."""
     contained = _contains(r, s, kind)
 
     def need(rows, block):
@@ -171,30 +181,45 @@ def _code_base(r, s, B):
 
 def _sieve(rows, base):
     """The indecomposable rows among the member rows `rows` (every entry
-    below `base`), in weight order."""
+    below `base`), as an array in weight order, in `rows` order within a
+    weight."""
+    if not len(rows):
+        return rows
     codes = rows @ base ** np.arange(rows.shape[1], dtype=np.int64)
-    known = np.sort(codes)
+    # every entry is below base, so a narrow copy decides domination
+    narrow = rows.astype(np.min_scalar_type(base - 1))
     weights = rows.sum(axis=1)
     order = np.argsort(weights, kind="stable")
     cuts = np.flatnonzero(np.diff(weights[order])) + 1
-    basis_rows, basis_codes = [], []
-    for layer in np.split(order, cuts):
+    # the sorted member codes of each weight, and the basis found so far as
+    # one (weight, narrow rows, codes, row indices) group per weight
+    known, groups = {}, []
+    for left in np.split(order, cuts):
+        weight = int(weights[left[0]])
+        known[weight] = np.sort(codes[left])
         # the rows of this layer not yet shown decomposable
-        left_rows, left_codes = rows[layer], codes[layer]
-        for h, code in zip(basis_rows, basis_codes):
-            test = np.flatnonzero((left_rows >= h).all(axis=1))
-            if not len(test):
+        left_rows, left_codes = narrow[left], codes[left]
+        for group_weight, group_rows, group_codes, _ in groups:
+            # x - h has weight |x| - |h|: look it up among those members
+            rests = known.get(weight - group_weight)
+            if rests is None:
                 continue
-            rest = left_codes[test] - code
-            at = np.minimum(np.searchsorted(known, rest), len(known) - 1)
-            keep = np.ones(len(left_rows), dtype=bool)
-            keep[test[known[at] == rest]] = False
-            left_rows, left_codes = left_rows[keep], left_codes[keep]
-            if not len(left_rows):
+            # group elements per chunk of (element, row) pairs: a pair takes
+            # one byte per entry and one for the domination test, then five
+            # int64 for the indices, codes and lookup of a dominated pair
+            step = max(1, MASK_CHUNK_BYTES // (len(left) * (narrow.shape[1] + 41)))
+            keep = np.ones(len(left), dtype=bool)
+            for at in range(0, len(group_rows), step):
+                h, x = np.nonzero((left_rows[None] >= group_rows[at:at + step, None])
+                                  .all(axis=-1))
+                rest = left_codes[x] - group_codes[at + h]
+                found = np.minimum(np.searchsorted(rests, rest), len(rests) - 1)
+                keep[x[rests[found] == rest]] = False
+            left, left_rows, left_codes = left[keep], left_rows[keep], left_codes[keep]
+            if not len(left):
                 break
-        basis_rows.extend(left_rows)
-        basis_codes.extend(left_codes)
-    return basis_rows
+        groups.append((weight, left_rows, left_codes, left))
+    return rows[np.concatenate([left for *_, left in groups])]
 
 
 @dataclass(frozen=True)
@@ -221,8 +246,7 @@ def hilbert_basis_bounded(r, s, kind, B):
     if B < 1:
         raise ValueError(f"bound must be >= 1, got {B}")
     base = _code_base(r, s, B)
-    basis = sorted(tuple(row.tolist())
-                   for row in _sieve(_member_rows(r, s, kind, B), base))
+    basis = sorted(map(tuple, _sieve(_member_rows(r, s, kind, B), base).tolist()))
     return BoundedBasis(r, s, kind, B, tuple(_blocks(row, r) for row in basis))
 
 
@@ -234,9 +258,20 @@ def decomposition_witness(x, kind):
     halves of a decomposition are forced to be dominated by x since all
     entries are nonnegative. The forms are linear, so their values at x - y
     are their values at x minus those at y.
+
+    Only for the pointed kinds LR, EqLR and CSL: in C and EqC every point
+    splits along the lines of the cone, so ValueError is raised for them,
+    as for a point with an entry that is not an integer (an int, or a
+    Fraction with denominator 1).
     """
     x = check_point(x)
     kind = normalize_kind(kind)
+    if kind not in ("CSL", "LR", "EqLR"):
+        raise ValueError(f"{kind} is not pointed; indecomposability is not defined")
+    if not all(isinstance(v, numbers.Rational) and v.denominator == 1
+               for v in flatten(x)):
+        raise ValueError(f"not a lattice point: {x}")
+    x = tuple(tuple(int(v) for v in block) for block in x)
     if not any(flatten(x)):
         raise ValueError("the zero point is not a semigroup element")
     system = inequality_system(len(x[0]), len(x), kind)

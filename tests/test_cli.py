@@ -128,8 +128,10 @@ ROW12 = ",".join(["1"] * 12)
     (["hilbert", "--r", "6", "--bound", "6", "--extended"], False),
     (["tables", "--which", "ray-counts", "--max-r", "7"], True),
     (["tables", "--which", "ray-counts", "--max-r", "10", "--extended"], False),
-    # hilbert-counts runs a Hilbert search per row: the hilbert ceilings
-    (["tables", "--which", "hilbert-counts", "--max-r", "6"], True),
+    # hilbert-counts runs a Hilbert search per row: its r = 6 row needs
+    # B = 5, over the byte budget, so no flag lifts its r ceiling of 5
+    (["tables", "--which", "hilbert-counts", "--max-r", "6"], False),
+    (["tables", "--which", "hilbert-counts", "--max-r", "6", "--extended"], False),
     (["tables", "--which", "hilbert-counts", "--max-r", "8", "--extended"], False),
     # s ceilings: 5 by default, 8 with --extended
     (["rays", "--r", "2", "--s", "12"], False),

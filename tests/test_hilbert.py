@@ -63,6 +63,31 @@ def test_witness_errors():
         decomposition_witness(parse_point("1,1;0,0;0,0"), "LR")
 
 
+@pytest.mark.parametrize("kind", ["C", "EqC"])
+def test_witness_refuses_cones_with_lines(kind):
+    # x is a point of C (and of EqC); with lines in the cone it splits as
+    # (x + l) + (-l) for a line l, which a search of y <= x does not see
+    x = ((0, -1), (0, -1), (0, -2))
+    with pytest.raises(ValueError, match="not pointed"):
+        decomposition_witness(x, kind)
+    with pytest.raises(ValueError, match="not pointed"):
+        is_indecomposable(x, kind)
+
+
+def test_witness_refuses_non_integer_points():
+    half = parse_point("1/2,0;1/2,0;1,0")
+    assert member(half, "LR")
+    with pytest.raises(ValueError, match="not a lattice point"):
+        decomposition_witness(half, "LR")
+    with pytest.raises(ValueError, match="not a lattice point"):
+        is_indecomposable(((1.0, 0), (1, 0), (1, 1)), "LR")
+    # a Fraction with denominator 1 and a numpy integer are integers
+    doubled = parse_point("2/1,0;2,0;2,2")
+    assert decomposition_witness(doubled, "LR") == (((1, 0), (1, 0), (1, 1)),) * 2
+    x = parse_point("1,0;1,0;1,1")
+    assert is_indecomposable(tuple(tuple(np.int64(v) for v in b) for b in x), "LR")
+
+
 def test_bounded_basis_counts_match_ray_counts():
     # for r <= 3 the B=3 Hilbert basis is exactly the primitive ray set
     for r, expected in ((1, 3), (2, 10), (3, 27)):
@@ -83,6 +108,49 @@ def test_sieve_matches_exhaustive_definition(r, s, B, kind):
     basis = set(hilbert_basis_bounded(r, s, kind, B).points)
     for x in lattice_points_bounded(r, s, kind, B):
         assert (x in basis) == is_indecomposable(x, kind), x
+
+
+def per_element_sieve(rows, base):
+    """The sieve decided one basis element at a time: each weight layer is
+    tested against the basis elements of the layers below it, one by one,
+    in the order they were found. The reference for the batched sieve."""
+    codes = rows @ base ** np.arange(rows.shape[1], dtype=np.int64)
+    known = np.sort(codes)
+    weights = rows.sum(axis=1)
+    order = np.argsort(weights, kind="stable")
+    cuts = np.flatnonzero(np.diff(weights[order])) + 1
+    basis_rows, basis_codes = [], []
+    for layer in np.split(order, cuts):
+        left_rows, left_codes = rows[layer], codes[layer]
+        for h, code in zip(basis_rows, basis_codes):
+            test = np.flatnonzero((left_rows >= h).all(axis=1))
+            if not len(test):
+                continue
+            rest = left_codes[test] - code
+            at = np.minimum(np.searchsorted(known, rest), len(known) - 1)
+            keep = np.ones(len(left_rows), dtype=bool)
+            keep[test[known[at] == rest]] = False
+            left_rows, left_codes = left_rows[keep], left_codes[keep]
+            if not len(left_rows):
+                break
+        basis_rows.extend(left_rows)
+        basis_codes.extend(left_codes)
+    return basis_rows
+
+
+# 50 bytes is less than two (element, row) pairs take (41 bytes and one per
+# entry each), so every group of basis elements of one weight is tested one
+# element per chunk
+@pytest.mark.parametrize("chunk_bytes", [hilbert.MASK_CHUNK_BYTES, 50])
+@pytest.mark.parametrize("r, s, kind, B", [(4, 4, "EqLR", 2), (6, 3, "EqLR", 2),
+                                           (5, 3, "EqLR", 3), (3, 3, "LR", 3),
+                                           (3, 3, "CSL", 2), (1, 3, "CSL", 1)])
+def test_batched_sieve_matches_per_element_sieve(monkeypatch, r, s, kind, B,
+                                                 chunk_bytes):
+    rows = hilbert._member_rows(r, s, kind, B)
+    expected = [row.tolist() for row in per_element_sieve(rows, B + 1)]
+    monkeypatch.setattr(hilbert, "MASK_CHUNK_BYTES", chunk_bytes)
+    assert hilbert._sieve(rows, B + 1).tolist() == expected
 
 
 def test_codes_must_fit_in_int64():
