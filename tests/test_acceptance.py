@@ -118,6 +118,23 @@ def test_criterion_4_hilbert_basis():
     verdict(4)
 
 
+def test_criterion_4_r6_cross_check():
+    # every primitive point of an extremal ray is indecomposable, so each
+    # ray whose parts are all <= 4 lies in the B=4 basis; the largest part
+    # of any r=6 ray is 4, so the extremal basis elements are all the rays
+    basis = hilbert_basis_bounded(6, 3, "EqLR", 4).points
+    assert len(basis) == 535
+    extremal = {x for x in basis if is_extremal(x, "EqLR")}
+    assert len(extremal) == 532
+    eqlr = enumerate_rays(6, 3, "EqLR")
+    assert len(eqlr) == 532 and set(eqlr) == extremal
+    assert set(basis) - extremal == {parse_point(t) for t in R6_EXTRAS}
+    # LR is the face of EqLR where the trace form vanishes
+    lr = enumerate_rays(6, 3, "LR")
+    assert len(lr) == 114 and set(lr) == {x for x in extremal if member(x, "LR")}
+    verdict(4)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the stated B=3 search at r=5 yields 194 of the 195 basis "
