@@ -5,12 +5,14 @@ Fraction); the first s-1 blocks are the lambda^j, the last is nu.
 
 Every cone is {x : Ax >= 0}: each form is a row of A, and an equality
 (a trace, or a CSL last part) is written as the form and its negative, both
->= 0. Each system evaluates its forms in one place,
+>= 0. Each system evaluates its forms at a single point in one place,
 `InequalitySystem.values`: an object-dtype matrix of the integer
 coefficients times the point, so int, Fraction and integers beyond int64
-keep exact Python arithmetic -- no tolerances. The one float64 matrix is
-`InequalitySystem.float_rows`, for the bounded Hilbert search, whose points
-are integers small enough that float64 holds every product and sum exactly.
+keep exact Python arithmetic -- no tolerances. Two fixed-width copies serve
+the batch evaluators: `InequalitySystem.float_rows`, for the bounded
+Hilbert search, whose points are integers small enough that float64 holds
+every product and sum exactly, and `InequalitySystem.int_rows`, for the
+ray pipeline, which states its own int64 bound.
 """
 
 from dataclasses import dataclass, field
@@ -58,6 +60,11 @@ def check_point(x, r=None, s=None):
 
 def flatten(x):
     return tuple(v for block in x for v in block)
+
+
+def unflatten(flat, r):
+    """The inverse of `flatten` for points of rank r: blocks of r entries."""
+    return tuple(tuple(flat[k:k + r]) for k in range(0, len(flat), r))
 
 
 def zero_point(r, s):
@@ -217,6 +224,11 @@ class InequalitySystem:
         """The forms as float64 rows. Exact for points whose entries are
         small integers."""
         return self.coeffs.astype(np.float64)
+
+    @cached_property
+    def int_rows(self):
+        """The forms as int64 rows (every coefficient is 0 or +-1)."""
+        return self.coeffs.astype(np.int64)
 
 
 def _unit(idx, n):

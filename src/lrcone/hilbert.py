@@ -36,17 +36,27 @@ from itertools import product
 import numpy as np
 
 from .partitions import partitions_in_box, subpartitions, weight
-from .cones import check_point, flatten, inequality_system, normalize_kind, point_sub
+from .cones import (
+    check_point,
+    flatten,
+    inequality_system,
+    normalize_kind,
+    point_sub,
+    unflatten,
+)
 
 # The only memory guard: bytes the bounded search may allocate, as counted
 # by check_search_budget. (r,s,B) = (6,3,4) needs about 0.8 GB and runs;
 # (6,3,5) would need about 6.9 GB and is refused.
 SEARCH_BYTE_BUDGET = 4 * 10**9
-# Bytes of one chunk of candidate rows in the membership mask: per row its
-# s box indices, its r*s flat entries three times (the pieces, the row and
-# its float64 copy), and its value under every row of the form matrix.
-# About 1,700 rows at r = 6, s = 3 (552 forms). The sieve cuts its
-# domination tests into chunks of the same size.
+# Bytes charged to one chunk of candidate rows in the membership mask: per
+# row its s box indices, its r*s flat entries three times (the pieces, the
+# row and its float64 copy), and its value under every row of the form
+# matrix. About 1,700 rows at r = 6, s = 3 (552 forms). The charge is an
+# upper bound: the mask evaluates a slice of forms at a time, so the values
+# it holds at once are one block of at most MASK_CHUNK_BYTES // 8 bytes
+# (1 MiB). The sieve cuts its domination tests into chunks of
+# MASK_CHUNK_BYTES.
 MASK_CHUNK_BYTES = 2**23
 
 
@@ -110,11 +120,12 @@ def check_search_budget(r, s, kind, B):
 def _member_mask(flat_rows, r, s, kind):
     """Boolean mask of cone membership for an integer array of flat points."""
     mat = inequality_system(r, s, kind).float_rows
-    # one row of values per mask row, so that each comparison reads contiguously
-    vals = mat @ flat_rows.T.astype(np.float64)
+    cols = flat_rows.T.astype(np.float64)
+    # forms per slice: a values block of at most MASK_CHUNK_BYTES // 8 bytes
+    step = max(1, MASK_CHUNK_BYTES // (64 * len(flat_rows) or 1))
     ok = np.ones(len(flat_rows), dtype=bool)
-    for row in vals:
-        ok &= row >= 0
+    for at in range(0, len(mat), step):
+        ok &= (mat[at:at + step] @ cols >= 0).all(axis=0)
     return ok
 
 
@@ -155,18 +166,13 @@ def _member_rows(r, s, kind, B):
     return rows[1:]
 
 
-def _blocks(row, r):
-    """A flat row (list of ints) as a tuple of r-part blocks."""
-    return tuple(tuple(row[k:k + r]) for k in range(0, len(row), r))
-
-
 def lattice_points_bounded(r, s, kind, B):
     """All nonzero lattice points of the cone whose blocks fit in the
     r x B box, as block tuples."""
     kind = normalize_kind(kind)
     if B < 0:
         raise ValueError(f"bound must be >= 0, got {B}")
-    return [_blocks(row, r) for row in _member_rows(r, s, kind, B).tolist()]
+    return [unflatten(row, r) for row in _member_rows(r, s, kind, B).tolist()]
 
 
 def _code_base(r, s, B):
@@ -247,7 +253,7 @@ def hilbert_basis_bounded(r, s, kind, B):
         raise ValueError(f"bound must be >= 1, got {B}")
     base = _code_base(r, s, B)
     basis = sorted(map(tuple, _sieve(_member_rows(r, s, kind, B), base).tolist()))
-    return BoundedBasis(r, s, kind, B, tuple(_blocks(row, r) for row in basis))
+    return BoundedBasis(r, s, kind, B, tuple(unflatten(row, r) for row in basis))
 
 
 def decomposition_witness(x, kind):

@@ -3,9 +3,34 @@
 On each Horn facet, type I rays come from a direct swap construction on the
 indexing subsets, and type II rays are images of rays of a product of two
 smaller cones under the induction map. The union over all facets, together
-with two explicitly known special families, is filtered through an exact
-extremality certificate (tight-constraint rank = r*s - 1), computed by
-fraction-free integer elimination in `exact_rank`.
+with two explicitly known special families, is filtered for extremality.
+
+The paper's maps are kept as single-point reference definitions: `pi`,
+`pi_inverse`, `p2_hat`, `ind_hat`, and the certificate `certify` /
+`is_extremal` (tight-form rank = r*s - 1, by fraction-free integer
+elimination in `exact_rank`). `enumerate_rays` and `facet_rays` run the
+same steps on whole int64 arrays of flat points:
+
+1. Images. `ind_hat` is linear, so on the facet of h it is one integer
+   (rs x rs) matrix M_h (`_induction_matrix`, cached per datum). One
+   product maps the stacked rays of both smaller cones.
+2. Pool. Every candidate is one row. Zero rows are dropped, each row is
+   divided by its gcd, and `np.unique` dedups the rows and sorts them in
+   the order `flatten` sorts points.
+3. Tight sets. One integer product of the pool with the form matrix gives
+   every form value, in int64 where a stated bound shows it exact,
+   otherwise in Python ints. A negative value raises, as `certify` does.
+   The forms tight at each row, T(p), are kept as packed bits.
+4. Rejection, then proof. A row with |T(p)| < rs - 1 cannot have tight
+   rank rs - 1. A row whose T(p) lies inside T(q) for another row q is not
+   extremal either, by this lemma: let p and q be distinct primitive
+   members of the pointed cone with T(p) contained in T(q). If T(p) had
+   rank rs - 1, its null space would be span(p); q is in it, so q = c p
+   with c > 0, and c = 1 since both are primitive, a contradiction. The
+   rows are checked in descending |T| against the sets passed so far.
+   Each row that passes is decided by `exact_rank`, which alone accepts;
+   it runs on the Gram matrix of the row's tight forms, which has their
+   rank and only rs rows.
 """
 
 import json
@@ -15,6 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 from .partitions import coef_of_subsets, omega, weight
 from .cones import (
@@ -29,7 +56,7 @@ from .cones import (
     normalize_kind,
     point_scale,
     point_sub,
-    zero_point,
+    unflatten,
 )
 
 
@@ -297,6 +324,143 @@ def diagonal_no_facet_check(r, s, l):
 
 
 # ---------------------------------------------------------------------------
+# the batched pipeline: candidate pools as int64 rows
+
+# Bytes of int64 form values `_tight_sets` holds at once: at r = 7, s = 3
+# (2,078 forms) a pool of 39,716 candidates would need 660 MB in one block.
+VALUES_BLOCK_BYTES = 2**23
+
+
+def _max_abs(a):
+    """The largest |entry| of an int64 array, as a Python int."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _int_product(a, b):
+    """a @ b for int64 arrays, exactly. Each entry is a sum of a.shape[1]
+    terms, each at most max|a| * max|b|; below 2**63 for that bound int64
+    holds every partial sum, above it the product is taken in Python ints
+    (object dtype)."""
+    if a.shape[1] * _max_abs(a) * _max_abs(b) < 2**63:
+        return a @ b
+    return a.astype(object) @ b.astype(object)
+
+
+def _rows(points, n):
+    """Points with n entries as an int64 array of flat rows."""
+    return np.array([flatten(p) for p in points], dtype=np.int64).reshape(-1, n)
+
+
+@lru_cache(maxsize=None)
+def _induction_matrix(h):
+    """ind_hat on the facet of h as one integer (rs x rs) matrix M_h: for a
+    row z = (flatten(xd), flatten(y)), z @ M_h.T = flatten(ind_hat(xd, y, h)).
+
+    pi_inverse is the permutation that places the coordinates, and p2_hat
+    subtracts c_t(x) * ray_t for each type I datum t, where c_t(x) = x_k -
+    x_{k+1} is the consecutive difference at the datum's position k."""
+    r, s = h.r, h.s
+    n = r * s
+    subs = h.I + (h.K,)
+    places = ([j * r + a - 1 for j, sub in enumerate(subs) for a in sub]
+              + [j * r + a - 1 for j, sub in enumerate(subs)
+                 for a in _complement(sub, r)])
+    place = np.zeros((n, n), dtype=np.int64)
+    place[places, np.arange(n)] = 1
+    strip = np.eye(n, dtype=np.int64)
+    for (j, a), ray in _type1_rays(h):
+        k = (j - 1) * r + a - 1 if j < s else (s - 1) * r + a - 2
+        strip[:, k] -= flatten(ray)
+        strip[:, k + 1] += flatten(ray)
+    return strip @ place
+
+
+def _smaller_rays(d, r, s, kind):
+    """The rays of the two smaller cones of a facet whose subsets have d
+    elements, as rows z = (xd, y): the rank-d LR rays beside y = 0, then
+    the rank-(r-d) rays of `kind` beside xd = 0."""
+    lr = _rows(enumerate_rays(d, s, "LR"), d * s)
+    other = _rows(enumerate_rays(r - d, s, kind), (r - d) * s)
+    rows = np.zeros((len(lr) + len(other), r * s), dtype=np.int64)
+    rows[:len(lr), :d * s] = lr
+    rows[len(lr):, d * s:] = other
+    return rows
+
+
+def _facet_images(h, rows):
+    """The induction images of the rows of `_smaller_rays`, as int64 rows
+    (OverflowError if an entry does not fit)."""
+    return _int_product(rows, _induction_matrix(h).T).astype(np.int64, copy=False)
+
+
+def _primitive_rows(rows):
+    """The nonzero rows of an int64 array, each divided by its gcd."""
+    g = np.gcd.reduce(rows, axis=1)
+    return rows[g > 0] // g[g > 0, None]
+
+
+def _tight_sets(pool, system):
+    """The forms tight at each row of `pool`, as packed bits (uint64 words;
+    form k is bit 7 - k % 8 of byte k // 8), and their number.
+
+    The pool is evaluated VALUES_BLOCK_BYTES of int64 values at a time.
+    ValueError if a row lies outside the cone."""
+    coeffs = system.int_rows.T
+    bits = np.zeros((len(pool), 8 * -(-coeffs.shape[1] // 64)), dtype=np.uint8)
+    sizes = np.zeros(len(pool), dtype=np.int64)
+    step = max(1, VALUES_BLOCK_BYTES // (8 * coeffs.shape[1]))
+    for at in range(0, len(pool), step):
+        vals = _int_product(pool[at:at + step], coeffs)
+        outside = (vals < 0).any(axis=1)
+        if outside.any():
+            row = pool[at + outside.argmax()].tolist()
+            raise ValueError(f"{format_point(unflatten(row, system.r))} "
+                             f"is not in {system.kind}")
+        tight = vals == 0
+        sizes[at:at + step] = tight.sum(axis=1)
+        packed = np.packbits(tight, axis=1)
+        bits[at:at + step, :packed.shape[1]] = packed
+    return bits.view(np.uint64), sizes
+
+
+def _maximal(bits, sizes, least):
+    """Yield, in descending |T|, the rows the tight-set filter passes: those
+    with at least `least` tight forms whose set lies inside the set of no
+    row passed before. Every row met before is either passed or inside a
+    passed set, so a rejected row's set lies inside another row's set."""
+    # the complements of the passed sets: T lies inside no passed set when
+    # it meets every complement
+    passed, count = np.empty_like(bits), 0
+    for i in np.argsort(-sizes, kind="stable"):
+        if sizes[i] < least:
+            return
+        if (passed[:count] & bits[i]).any(axis=1).all():
+            passed[count] = ~bits[i]
+            count += 1
+            yield i
+
+
+def _extremal(pool, r, s, kind):
+    """Which rows of `pool` span extremal rays of the cone, as a mask.
+
+    `pool` holds distinct primitive nonzero int64 rows; ValueError if one
+    lies outside the cone. The rows `_maximal` rejects are not extremal
+    (the lemma in the module docstring). Each row it passes is decided by
+    `exact_rank` on the Gram matrix A^T A of its tight forms A: the two
+    have the same rank, since A^T A x = 0 gives |Ax|^2 = 0, and the Gram
+    matrix has rs rows where A may have hundreds."""
+    system = inequality_system(r, s, kind)
+    bits, sizes = _tight_sets(pool, system)
+    extremal = np.zeros(len(pool), dtype=bool)
+    for i in _maximal(bits, sizes, r * s - 1):
+        tight = np.unpackbits(bits[i].view(np.uint8), count=len(system.forms))
+        forms = system.int_rows[tight.astype(bool)]
+        gram = _int_product(forms.T, forms).tolist()
+        extremal[i] = exact_rank(gram) == r * s - 1
+    return extremal
+
+
+# ---------------------------------------------------------------------------
 # facet-level and cone-level enumeration
 
 @dataclass(frozen=True)
@@ -310,26 +474,24 @@ class FacetDecomposition:
     type2_nonextremal: tuple     # nonzero, non-extremal images
 
 
-def _facet_images(h, kind):
-    """The induction images of the rays of the two smaller cones of h: the
-    rank-d LR rays first, then the rank-(r-d) rays of `kind`."""
-    d, r, s = h.d, h.r, h.s
-    return ([ind_hat(a, zero_point(r - d, s), h) for a in enumerate_rays(d, s, "LR")]
-            + [ind_hat(zero_point(d, s), b, h) for b in enumerate_rays(r - d, s, kind)])
-
-
 def facet_rays(h, kind):
     """Run the facet algorithm: type I rays plus extremality-filtered
-    induction images of the product of the two smaller cones."""
+    induction images of the product of the two smaller cones, each list in
+    the order of the images."""
     kind = normalize_kind(kind)
     if kind not in ("LR", "EqLR"):
         raise ValueError("facet decomposition applies to LR and EqLR only")
-    images = _facet_images(h, kind)
-    nonzero = [primitive(z) for z in images if any(flatten(z))]
-    extremal = {p: is_extremal(p, kind) for p in nonzero}
+    images = _facet_images(h, _smaller_rays(h.d, h.r, h.s, kind))
+    nonzero = _primitive_rows(images)
+    pool, first, where = np.unique(nonzero, axis=0, return_index=True,
+                                   return_inverse=True)
+    extremal = _extremal(pool, h.r, h.s, kind)
+    met = sorted(np.flatnonzero(extremal), key=first.__getitem__)
     return FacetDecomposition(
-        h, kind, _type1_rays(h), tuple(p for p, e in extremal.items() if e),
-        len(images) - len(nonzero), tuple(p for p in nonzero if not extremal[p]))
+        h, kind, _type1_rays(h),
+        tuple(unflatten(row, h.r) for row in pool[met].tolist()),
+        len(images) - len(nonzero),
+        tuple(unflatten(row, h.r) for row in nonzero[~extremal[where]].tolist()))
 
 
 _RAY_MEMO = {}
@@ -367,13 +529,30 @@ def _read_cache(path, r, s, kind):
     return rays if ok else None
 
 
+def _candidate_pool(r, s, kind):
+    """The distinct candidate rays of LR or EqLR, as primitive int64 rows
+    in the order `flatten` sorts points: the omega-tuples in the cone, every
+    Horn facet's type I rays and induction images, and for EqLR the rays
+    of the LR face."""
+    n = r * s
+    # an omega-tuple whose k's sum past l lies outside LR
+    pool = [_rows([x for x in special_rays(r, s) if member(x, kind)], n)]
+    smaller = {d: _smaller_rays(d, r, s, kind) for d in range(1, r)}
+    for h in all_horn_data(r, s):
+        pool.append(_rows([p for _, p in _type1_rays(h)], n))
+        pool.append(_facet_images(h, smaller[h.d]))
+    if kind == "EqLR":
+        pool.append(_rows(enumerate_rays(r, s, "LR"), n))
+    return np.unique(_primitive_rows(np.concatenate(pool)), axis=0)
+
+
 def enumerate_rays(r, s, kind):
     """All extremal rays of the cone, as primitive integer points in
     canonical (lexicographic) order.
 
-    Candidates are pooled -- every Horn facet's type I rays and induction
-    images, the omega-tuple family, and (for EqLR) the rays of the LR face --
-    and each distinct candidate is certified once by the exact test.
+    LR and EqLR go through the pipeline in the module docstring: the pool
+    of `_candidate_pool`, then `_extremal`. CSL keeps the LR rays that are
+    members of CSL.
     """
     kind = normalize_kind(kind)
     if kind not in ("CSL", "LR", "EqLR"):
@@ -393,16 +572,9 @@ def enumerate_rays(r, s, kind):
         rays = tuple(x for x in enumerate_rays(r, s, "LR")
                      if member(x, "CSL"))
     else:
-        # an omega-tuple whose k's sum past l lies outside LR
-        candidates = [x for x in special_rays(r, s) if member(x, kind)]
-        for h in all_horn_data(r, s):
-            candidates += [p for _, p in _type1_rays(h)]
-            candidates += _facet_images(h, kind)
-        if kind == "EqLR":
-            candidates += enumerate_rays(r, s, "LR")
-        distinct = {primitive(x) for x in candidates if any(flatten(x))}
-        rays = tuple(sorted((p for p in distinct if is_extremal(p, kind)),
-                            key=flatten))
+        pool = _candidate_pool(r, s, kind)
+        rays = tuple(unflatten(row, r)
+                     for row in pool[_extremal(pool, r, s, kind)].tolist())
     _RAY_MEMO[key] = rays
     if path:
         _write_cache(path, {"format": CACHE_FORMAT, **rayset_json(r, s, kind, rays)})

@@ -1,5 +1,7 @@
 """Bounded Hilbert-basis search and indecomposability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,26 @@ def test_member_rows_match_full_product(monkeypatch, r, s, B, kind, chunk_bytes)
     assert np.array_equal(hilbert._member_rows(r, s, kind, B), expected)
     chunk = hilbert._chunk_rows(r, s, kind)
     assert all(n == chunk for n in sizes[:-1]) and 0 < sizes[-1] <= chunk
+
+
+def test_member_mask_holds_a_slice_of_values():
+    # one full chunk at (6,3,B=2): 1,721 rows under 552 forms; a values
+    # block for all forms at once would take 7.6 MB of the 8 MiB chunk
+    r, s, kind = 6, 3, "EqLR"
+    parts = np.array(partitions_in_box(r, 2), dtype=np.int64)
+    size = hilbert._chunk_rows(r, s, kind)
+    chunk = next(hilbert._candidates(parts, s, True, size))
+    flat = np.concatenate([parts[i] for i in chunk], axis=1)
+    assert len(flat) == size == 1721
+    expected = hilbert._member_mask(flat, r, s, kind)  # caches the form matrix
+    tracemalloc.start()
+    try:
+        got = hilbert._member_mask(flat, r, s, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    assert peak < hilbert.MASK_CHUNK_BYTES // 4
 
 
 @pytest.mark.parametrize("kind, candidates", [("EqLR", 37128), ("LR", 56**3)])

@@ -2,9 +2,9 @@
 
 import json
 import random
-from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +16,11 @@ from lrcone.cones import (
     enumerate_horn,
     flatten,
     horn_slack,
+    inequality_system,
     member,
     parse_point,
+    unflatten,
+    zero_point,
 )
 from lrcone.hilbert import lattice_points_bounded
 from lrcone.rays import (
@@ -38,7 +41,6 @@ from lrcone.rays import (
     type1_data,
     type1_ray,
     x_ray,
-    zero_point,
 )
 
 H631 = HornDatum(3, 3, 1, ((2,), (2,)), (3,))
@@ -383,16 +385,20 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
 def test_each_candidate_certified_once(monkeypatch):
     monkeypatch.delenv(rays.CACHE_ENV, raising=False)
     monkeypatch.setattr(rays, "_RAY_MEMO", {})
-    seen = Counter()
-    certify_ = rays.certify
+    calls = []
 
-    def counting(x, kind):
-        seen[(x, kind)] += 1
-        return certify_(x, kind)
+    def counting(rows):
+        calls.append(rows)
+        return exact_rank(rows)
 
-    monkeypatch.setattr(rays, "certify", counting)
+    monkeypatch.setattr(rays, "exact_rank", counting)
     assert len(enumerate_rays(3, 3, "EqLR")) == 27
-    assert seen and max(seen.values()) == 1
+    # the cones computed on the way: LR and EqLR at r = 1, 2, 3
+    cones = [(r, 3, kind) for r in (1, 2, 3) for kind in ("LR", "EqLR")]
+    # one rank call per distinct tight set the filter passes, which is
+    # fewer than the distinct candidates
+    assert len(calls) == sum(reference_survivors(*c) for c in cones)
+    assert len(calls) < sum(len(reference_pool(*c)) for c in cones)
 
 
 def _corrupt(payload, how):
@@ -447,6 +453,98 @@ def test_disk_cache_serves_a_valid_file(tmp_path, monkeypatch):
     monkeypatch.setattr(rays, "_RAY_MEMO", {})
     found = enumerate_rays(3, 3, "EqLR")
     rays._RAY_MEMO.clear()
-    monkeypatch.setattr(rays, "certify", None)  # a recomputation would fail
+    monkeypatch.setattr(rays, "exact_rank", None)  # a recomputation would fail
     assert enumerate_rays(3, 3, "EqLR") == found
     assert len(list(tmp_path.iterdir())) == 6  # LR and EqLR at r = 1, 2, 3
+
+
+# ---------------------------------------------------------------------------
+# the batched pipeline against the single-point reference definitions
+
+def reference_pool(r, s, kind):
+    """The candidate pool of LR or EqLR built one point at a time from the
+    paper's definitions: `type1_ray`, `ind_hat` and `primitive`."""
+    candidates = [x for x in special_rays(r, s) if member(x, kind)]
+    for h in all_horn_data(r, s):
+        candidates += [type1_ray(h, t) for t in type1_data(h)]
+        candidates += [ind_hat(a, zero_point(r - h.d, s), h)
+                       for a in enumerate_rays(h.d, s, "LR")]
+        candidates += [ind_hat(zero_point(h.d, s), b, h)
+                       for b in enumerate_rays(r - h.d, s, kind)]
+    if kind == "EqLR":
+        candidates += enumerate_rays(r, s, "LR")
+    return {primitive(x) for x in candidates if any(flatten(x))}
+
+
+def reference_tight(x, kind):
+    """The indices of the forms tight at x, by the exact evaluator."""
+    system = inequality_system(len(x[0]), len(x), kind)
+    return frozenset(np.flatnonzero(system.values(x) == 0).tolist())
+
+
+def reference_survivors(r, s, kind):
+    """How many rows the tight-set filter passes on the reference pool: one
+    per distinct tight set with at least rs - 1 forms inside no other."""
+    sets = {reference_tight(p, kind) for p in reference_pool(r, s, kind)}
+    big = [t for t in sets if len(t) >= r * s - 1]
+    return sum(not any(t < u for u in big) for t in big)
+
+
+PIPELINE_SHAPES = ([(r, 3) for r in range(1, 5)] + [(r, 4) for r in range(1, 4)]
+                   + [(r, 5) for r in range(1, 3)])
+
+
+@pytest.mark.parametrize("kind", ["LR", "EqLR"])
+@pytest.mark.parametrize("r, s", PIPELINE_SHAPES)
+def test_tight_set_filter_is_a_proof(r, s, kind):
+    pool = rays._candidate_pool(r, s, kind)
+    points = [unflatten(row, r) for row in pool.tolist()]
+    reference = reference_pool(r, s, kind)
+    assert set(points) == reference and len(points) == len(reference)
+    assert [flatten(p) for p in points] == sorted(flatten(p) for p in points)
+    system = inequality_system(r, s, kind)
+    bits, sizes = rays._tight_sets(pool, system)
+    for p, row in zip(points, bits):
+        tight = np.unpackbits(row.view(np.uint8), count=len(system.forms))
+        assert frozenset(np.flatnonzero(tight).tolist()) == reference_tight(p, kind)
+    passed = set(rays._maximal(bits, sizes, r * s - 1))
+    assert len(passed) == reference_survivors(r, s, kind)
+    extremal = {p for p in reference if is_extremal(p, kind)}
+    # every rejection is a proof: no rejected candidate is extremal
+    assert not {p for i, p in enumerate(points) if i not in passed} & extremal
+    assert set(enumerate_rays(r, s, kind)) == extremal
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_induction_matrix_is_ind_hat(r):
+    for h in all_horn_data(r, 3):
+        m = rays._induction_matrix(h)
+        for a in (zero_point(h.d, 3),) + enumerate_rays(h.d, 3, "LR"):
+            for b in (zero_point(r - h.d, 3),) + enumerate_rays(r - h.d, 3, "EqLR"):
+                z = np.array(flatten(a) + flatten(b), dtype=np.int64)
+                assert tuple((m @ z).tolist()) == flatten(ind_hat(a, b, h))
+
+
+def test_tight_sets_beyond_int64():
+    # 2**61 * x_1 + x_2 is a primitive member; with entries near 2**61 its
+    # form values are summed in Python ints, not int64
+    x1, x2 = (np.array(flatten(x_ray(j, 3, 3)), dtype=np.int64) for j in (1, 2))
+    big = 2**61 * x1 + x2
+    pool = np.array([x1, big])
+    system = inequality_system(3, 3, "EqLR")
+    bits, sizes = rays._tight_sets(pool, system)
+    for row, n, x in zip(bits, sizes, pool.tolist()):
+        tight = np.unpackbits(row.view(np.uint8), count=len(system.forms))
+        expected = reference_tight(unflatten(x, 3), "EqLR")
+        assert frozenset(np.flatnonzero(tight).tolist()) == expected
+        assert n == len(expected)
+    assert rays._extremal(pool, 3, 3, "EqLR").tolist() == [True, False]
+
+
+def test_pipeline_refuses_a_point_outside_the_cone():
+    # 9,9;0,0;1,0 breaks containment nu >= lam, as certify reports
+    outside = np.array([[1, 0, 1, 0, 1, 0], [9, 9, 0, 0, 1, 0]], dtype=np.int64)
+    with pytest.raises(ValueError, match="9,9;0,0;1,0 is not in EqLR"):
+        rays._extremal(outside, 2, 3, "EqLR")
+    with pytest.raises(ValueError, match="9,9;0,0;1,0 is not in EqLR"):
+        certify(parse_point("9,9;0,0;1,0"), "EqLR")
