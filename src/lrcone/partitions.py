@@ -237,8 +237,11 @@ def multi_coef(lams, nu):
 
 def coef_of_subsets(subsets, K):
     """c_{I_1,...,I_{s-1}}^K computed via tau on each subset."""
-    subsets = [tuple(I) for I in subsets]
-    K = tuple(K)
+    return _coef_of_subsets(tuple(tuple(I) for I in subsets), tuple(K))
+
+
+@lru_cache(maxsize=None)
+def _coef_of_subsets(subsets, K):
     d = len(K)
     if any(len(I) != d for I in subsets):
         raise ValueError("all subsets must have the same cardinality")

@@ -15,12 +15,13 @@ same steps on whole int64 arrays of flat points:
    (rs x rs) matrix M_h (`_induction_matrix`, cached per datum). One
    product maps the stacked rays of both smaller cones.
 2. Pool. Every candidate is one row. Zero rows are dropped, each row is
-   divided by its gcd, and `np.unique` dedups the rows and sorts them in
-   the order `flatten` sorts points.
+   divided by its gcd, and a lexsort on the columns dedups the rows and
+   sorts them in the order `flatten` sorts points.
 3. Tight sets. One integer product of the pool with the form matrix gives
-   every form value, in int64 where a stated bound shows it exact,
-   otherwise in Python ints. A negative value raises, as `certify` does.
-   The forms tight at each row, T(p), are kept as packed bits.
+   every form value: in float64 through BLAS, int64 or Python ints, each
+   where a stated bound shows it exact. A negative value raises, as
+   `certify` does. The forms tight at each row, T(p), are kept as packed
+   bits.
 4. Rejection, then proof. A row with |T(p)| < rs - 1 cannot have tight
    rank rs - 1. A row whose T(p) lies inside T(q) for another row q is not
    extremal either, by this lemma: let p and q be distinct primitive
@@ -28,9 +29,14 @@ same steps on whole int64 arrays of flat points:
    rank rs - 1, its null space would be span(p); q is in it, so q = c p
    with c > 0, and c = 1 since both are primitive, a contradiction. The
    rows are checked in descending |T| against the sets passed so far.
-   Each row that passes is decided by `exact_rank`, which alone accepts;
-   it runs on the Gram matrix of the row's tight forms, which has their
-   rank and only rs rows.
+   Each row that passes is decided on the Gram matrix G = A^T A of its
+   tight forms A, which has the rank of A (A^T A x = 0 gives |Ax|^2 = 0)
+   and only rs rows. The Gram matrices of the passed rows are stacked,
+   and one elimination mod the prime p = 2**31 - 1 takes every rank at
+   once. A rank of rs - 1 mod p is a proof: the rank over Q is at least
+   the rank mod p, and at most rs - 1, since every form in A is tight at
+   the row, so G sends the row to 0. A row whose rank mod p falls short
+   is decided by `exact_rank`.
 """
 
 import json
@@ -326,8 +332,9 @@ def diagonal_no_facet_check(r, s, l):
 # ---------------------------------------------------------------------------
 # the batched pipeline: candidate pools as int64 rows
 
-# Bytes of int64 form values `_tight_sets` holds at once: at r = 7, s = 3
-# (2,078 forms) a pool of 39,716 candidates would need 660 MB in one block.
+# Bytes of form values (8 bytes each) `_tight_sets` holds at once: at r = 7,
+# s = 3 (2,078 forms) a pool of 39,716 candidates would need 660 MB in one
+# block.
 VALUES_BLOCK_BYTES = 2**23
 
 
@@ -337,11 +344,16 @@ def _max_abs(a):
 
 
 def _int_product(a, b):
-    """a @ b for int64 arrays, exactly. Each entry is a sum of a.shape[1]
-    terms, each at most max|a| * max|b|; below 2**63 for that bound int64
-    holds every partial sum, above it the product is taken in Python ints
-    (object dtype)."""
-    if a.shape[1] * _max_abs(a) * _max_abs(b) < 2**63:
+    """a @ b for integer arrays, exactly: every entry is an integer, held in
+    float64, int64 or Python ints. Each entry is a sum of a.shape[1] terms,
+    each at most max|a| * max|b|, so every partial sum is at most bound =
+    a.shape[1] * max|a| * max|b|. Below 2**53 float64 holds every partial
+    sum exactly, so the product runs through BLAS in float64; below 2**63
+    it is taken in int64; above both in Python ints (object dtype)."""
+    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
+    if bound < 2**53:
+        return a.astype(np.float64) @ b.astype(np.float64)
+    if bound < 2**63:
         return a @ b
     return a.astype(object) @ b.astype(object)
 
@@ -399,11 +411,27 @@ def _primitive_rows(rows):
     return rows[g > 0] // g[g > 0, None]
 
 
+def _unique_rows(rows):
+    """The distinct rows of an int64 array in the order `flatten` sorts
+    points, the index of each one's first occurrence in `rows`, and for
+    each row of `rows` the index of its distinct row.
+
+    A stable lexsort on the columns (the first column primary) puts equal
+    rows next to each other, first occurrence first."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
+
+
 def _tight_sets(pool, system):
     """The forms tight at each row of `pool`, as packed bits (uint64 words;
     form k is bit 7 - k % 8 of byte k // 8), and their number.
 
-    The pool is evaluated VALUES_BLOCK_BYTES of int64 values at a time.
+    The pool is evaluated VALUES_BLOCK_BYTES of form values at a time.
     ValueError if a row lies outside the cone."""
     coeffs = system.int_rows.T
     bits = np.zeros((len(pool), 8 * -(-coeffs.shape[1] // 64)), dtype=np.uint8)
@@ -440,23 +468,72 @@ def _maximal(bits, sizes, least):
             yield i
 
 
+# The prime of `_ranks_mod_p`; below 2**31, so that the product of two
+# residues is below 2**62.
+RANK_MODULUS = 2**31 - 1
+
+
+def _ranks_mod_p(mats):
+    """The rank over GF(p), p = RANK_MODULUS, of each matrix of a (k, n, n)
+    int64 stack, by one elimination vectorized over the k matrices.
+
+    Column by column, each matrix with a nonzero entry there takes the
+    first such row as pivot, and every row becomes pivot * row - entry *
+    pivot row, mod p. That scales each row by the pivot, which is nonzero
+    mod a prime, so no inverse is needed; the pivot row itself becomes
+    zero, and each pivot adds one to the rank. Entries stay in [0, p), so
+    with p < 2**31 each product is below 2**62 and each difference of two
+    lies in int64."""
+    p = RANK_MODULUS
+    mat = mats % p
+    at = np.arange(len(mat))
+    rank = np.zeros(len(mat), dtype=np.int64)
+    for c in range(mat.shape[2]):
+        col = mat[:, :, c]
+        nonzero = col != 0
+        found = nonzero.any(axis=1)
+        pivot_row = mat[at, nonzero.argmax(axis=1)]
+        pivot = np.where(found, pivot_row[:, c], 1)
+        mat = (pivot[:, None, None] * mat
+               - col[:, :, None] * pivot_row[:, None, :]) % p
+        rank += found
+    return rank
+
+
+def _grams(bits, system):
+    """The Gram matrix A^T A of the forms A tight at each packed tight set
+    in `bits`, as a (k, n, n) int64 stack: the tight mask times the
+    products of every form's coefficient pairs."""
+    forms = system.int_rows
+    m, n = forms.shape
+    pairs = (forms[:, :, None] * forms[:, None, :]).reshape(m, n * n)
+    tight = np.unpackbits(bits.view(np.uint8), axis=1, count=m)
+    gram = _int_product(tight, pairs)
+    return gram.astype(np.int64, copy=False).reshape(-1, n, n)
+
+
 def _extremal(pool, r, s, kind):
     """Which rows of `pool` span extremal rays of the cone, as a mask.
 
     `pool` holds distinct primitive nonzero int64 rows; ValueError if one
-    lies outside the cone. The rows `_maximal` rejects are not extremal
-    (the lemma in the module docstring). Each row it passes is decided by
-    `exact_rank` on the Gram matrix A^T A of its tight forms A: the two
-    have the same rank, since A^T A x = 0 gives |Ax|^2 = 0, and the Gram
-    matrix has rs rows where A may have hundreds."""
+    lies outside the cone. The rows `_maximal` rejects are not extremal,
+    and a row it passes is extremal when the Gram matrix of its tight forms
+    has rank rs - 1 mod p or, failing that, by `exact_rank` (step 4 of the
+    module docstring). The ranks mod p are taken on a stack of Gram
+    matrices, VALUES_BLOCK_BYTES of tight masks (8 bytes per form, as the
+    product takes them) at a time."""
     system = inequality_system(r, s, kind)
     bits, sizes = _tight_sets(pool, system)
     extremal = np.zeros(len(pool), dtype=bool)
-    for i in _maximal(bits, sizes, r * s - 1):
-        tight = np.unpackbits(bits[i].view(np.uint8), count=len(system.forms))
-        forms = system.int_rows[tight.astype(bool)]
-        gram = _int_product(forms.T, forms).tolist()
-        extremal[i] = exact_rank(gram) == r * s - 1
+    rows = np.fromiter(_maximal(bits, sizes, r * s - 1), dtype=np.intp)
+    step = max(1, VALUES_BLOCK_BYTES // (8 * len(system.forms)))
+    for at in range(0, len(rows), step):
+        block = rows[at:at + step]
+        grams = _grams(bits[block], system)
+        ranks = _ranks_mod_p(grams)
+        for i in np.flatnonzero(ranks < r * s - 1):
+            ranks[i] = exact_rank(grams[i].tolist())
+        extremal[block] = ranks == r * s - 1
     return extremal
 
 
@@ -483,8 +560,7 @@ def facet_rays(h, kind):
         raise ValueError("facet decomposition applies to LR and EqLR only")
     images = _facet_images(h, _smaller_rays(h.d, h.r, h.s, kind))
     nonzero = _primitive_rows(images)
-    pool, first, where = np.unique(nonzero, axis=0, return_index=True,
-                                   return_inverse=True)
+    pool, first, where = _unique_rows(nonzero)
     extremal = _extremal(pool, h.r, h.s, kind)
     met = sorted(np.flatnonzero(extremal), key=first.__getitem__)
     return FacetDecomposition(
@@ -536,14 +612,17 @@ def _candidate_pool(r, s, kind):
     of the LR face."""
     n = r * s
     # an omega-tuple whose k's sum past l lies outside LR
-    pool = [_rows([x for x in special_rays(r, s) if member(x, kind)], n)]
+    special = _rows(special_rays(r, s), n)
+    inside = (_int_product(special, inequality_system(r, s, kind).int_rows.T)
+              >= 0).all(axis=1)
+    pool = [special[inside]]
     smaller = {d: _smaller_rays(d, r, s, kind) for d in range(1, r)}
     for h in all_horn_data(r, s):
         pool.append(_rows([p for _, p in _type1_rays(h)], n))
         pool.append(_facet_images(h, smaller[h.d]))
     if kind == "EqLR":
         pool.append(_rows(enumerate_rays(r, s, "LR"), n))
-    return np.unique(_primitive_rows(np.concatenate(pool)), axis=0)
+    return _unique_rows(_primitive_rows(np.concatenate(pool)))[0]
 
 
 def enumerate_rays(r, s, kind):

@@ -122,6 +122,81 @@ def test_exact_rank_hand_cases(rows, rank):
     assert fraction_rank(rows) == rank
 
 
+@st.composite
+def small_stacks(draw):
+    """Stacks of n x n integer matrices, n <= 6: rows with entries in
+    [-3, 3], some of them replaced by the sum or difference of two of the
+    drawn rows. Each row then has norm at most 6 sqrt(6), so by Hadamard's
+    bound every minor is below (6 sqrt(6))**6 < 2**24 in size, and no
+    nonzero minor vanishes mod RANK_MODULUS."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    index = st.integers(0, n - 1)
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        drawn = draw(st.lists(row, min_size=n, max_size=n))
+        mat = [list(r) for r in drawn]
+        for i in draw(st.lists(index, max_size=n)):
+            a, b, sign = draw(index), draw(index), draw(st.sampled_from((1, -1)))
+            mat[i] = [x + sign * y for x, y in zip(drawn[a], drawn[b])]
+        mats.append(mat)
+    return mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_stacks())
+def test_ranks_mod_p_match_exact_rank(mats):
+    ranks = rays._ranks_mod_p(np.array(mats, dtype=np.int64))
+    assert ranks.tolist() == [exact_rank(m) for m in mats]
+    with pytest.MonkeyPatch.context() as mp:
+        # every rank mod a prime is at most the rank over Q
+        mp.setattr(rays, "RANK_MODULUS", 3)
+        low = rays._ranks_mod_p(np.array(mats, dtype=np.int64))
+    assert (low <= ranks).all()
+
+
+P = rays.RANK_MODULUS
+
+
+@pytest.mark.parametrize("mat, mod_p, over_q", [
+    # entries that are multiples of p
+    ([(P, 0, 0), (0, 1, 0), (0, 0, 1)], 2, 3),
+    ([(2 * P, P, 0), (P, 3 * P, 0), (0, 0, 5)], 1, 3),
+    # multiples of p only in the determinant: 1 * (1 + p) - 1 * 1 = p
+    ([(1, 1, 0), (1, 1 + P, 0), (0, 0, 0)], 1, 2),
+    # negative entries are reduced to [0, p) first
+    ([(-P, 1, 0), (0, -1, 0), (0, 0, -P - 1)], 2, 3),
+])
+def test_ranks_mod_p_hand_cases(mat, mod_p, over_q):
+    assert exact_rank(mat) == over_q
+    assert rays._ranks_mod_p(np.array([mat], dtype=np.int64)).tolist() == [mod_p]
+
+
+@pytest.mark.parametrize("a, b", [
+    # below 2**53 the product runs in float64 and every partial sum is exact
+    ([(2**51, 2**51, 1)], [(1,), (1,), (1,)]),
+    ([(2**52 + 1,)], [(1,)]),
+    # from 2**53 on float64 would round 2**53 + 1; int64 does not
+    ([(2**52, 2**52, 1)], [(1,), (1,), (1,)]),
+    ([(2**53 + 1,)], [(1,)]),
+    ([(-(2**52), -(2**52), -1), (3, -5, 7)], [(1, -1), (1, 2), (1, 0)]),
+])
+def test_int_product_is_exact_at_the_float64_bound(a, b):
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert rays._int_product(a, b).tolist() == (a.astype(object)
+                                                @ b.astype(object)).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=30))
+def test_unique_rows_is_np_unique(rows):
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    expected = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    got = rays._unique_rows(rows)
+    for x, y in zip(got, expected):
+        assert x.tolist() == y.reshape(-1, *x.shape[1:]).tolist()
+
+
 def test_primitive():
     assert primitive(((2, 4), (0, 2))) == ((1, 2), (0, 1))
     assert primitive(((Fraction(1, 2),), (Fraction(1, 3),))) == ((3,), (2,))
@@ -382,23 +457,67 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
     assert enumerate_rays(2, 3, "EqLR") == found  # read back from disk
 
 
-def test_each_candidate_certified_once(monkeypatch):
-    monkeypatch.delenv(rays.CACHE_ENV, raising=False)
-    monkeypatch.setattr(rays, "_RAY_MEMO", {})
-    calls = []
+def counting_ranks(monkeypatch):
+    """Record, per call of the batched rank mod p, the rows given and how
+    many fell short of rs - 1, and every matrix given to `exact_rank`."""
+    batched, calls = [], []
+    ranks_mod_p = rays._ranks_mod_p
 
-    def counting(rows):
+    def batched_counting(mats):
+        ranks = ranks_mod_p(mats)
+        batched.append((len(mats), int((ranks < mats.shape[1] - 1).sum())))
+        return ranks
+
+    def exact_counting(rows):
         calls.append(rows)
         return exact_rank(rows)
 
-    monkeypatch.setattr(rays, "exact_rank", counting)
+    monkeypatch.setattr(rays, "_ranks_mod_p", batched_counting)
+    monkeypatch.setattr(rays, "exact_rank", exact_counting)
+    return batched, calls
+
+
+def test_each_candidate_certified_once(monkeypatch):
+    monkeypatch.delenv(rays.CACHE_ENV, raising=False)
+    monkeypatch.setattr(rays, "_RAY_MEMO", {})
+    batched, calls = counting_ranks(monkeypatch)
     assert len(enumerate_rays(3, 3, "EqLR")) == 27
     # the cones computed on the way: LR and EqLR at r = 1, 2, 3
     cones = [(r, 3, kind) for r in (1, 2, 3) for kind in ("LR", "EqLR")]
-    # one rank call per distinct tight set the filter passes, which is
-    # fewer than the distinct candidates
-    assert len(calls) == sum(reference_survivors(*c) for c in cones)
-    assert len(calls) < sum(len(reference_pool(*c)) for c in cones)
+    # one rank mod p per distinct tight set the filter passes, which is
+    # fewer than the distinct candidates, and one exact rank per shortfall
+    given = sum(rows for rows, _ in batched)
+    assert given == sum(reference_survivors(*c) for c in cones)
+    assert given < sum(len(reference_pool(*c)) for c in cones)
+    assert len(calls) == sum(short for _, short in batched)
+
+
+def test_rank_shortfalls_fall_back_to_exact_rank(monkeypatch):
+    monkeypatch.delenv(rays.CACHE_ENV, raising=False)
+    monkeypatch.setattr(rays, "_RAY_MEMO", {})
+    cones = [(r, s, kind) for r, s in [(4, 3), (3, 4)] for kind in ("LR", "EqLR")]
+    expected = [enumerate_rays(*c) for c in cones]
+    # mod 3 many tight Gram matrices lose rank, so exact_rank decides them
+    monkeypatch.setattr(rays, "RANK_MODULUS", 3)
+    monkeypatch.setattr(rays, "_RAY_MEMO", {})
+    batched, calls = counting_ranks(monkeypatch)
+    assert [enumerate_rays(*c) for c in cones] == expected
+    assert calls and len(calls) == sum(short for _, short in batched)
+
+
+@pytest.mark.parametrize("modulus", [rays.RANK_MODULUS, 3])
+def test_rank_alone_decides_one_row_pools(monkeypatch, modulus):
+    # a pool of one row passes the tight-set filter whenever rs - 1 forms
+    # are tight at it, so the rank decides every such member of the box,
+    # most of which are not extremal
+    monkeypatch.setattr(rays, "RANK_MODULUS", modulus)
+    points = sorted({primitive(x) for x in lattice_points_bounded(3, 3, "EqLR", 2)
+                     if any(flatten(x))})
+    decided = [p for p in points if len(reference_tight(p, "EqLR")) >= 8]
+    extremal = [is_extremal(p, "EqLR") for p in decided]
+    assert extremal.count(False) > 100
+    assert [rays._extremal(np.array([flatten(p)]), 3, 3, "EqLR")[0]
+            for p in decided] == extremal
 
 
 def _corrupt(payload, how):
@@ -453,7 +572,9 @@ def test_disk_cache_serves_a_valid_file(tmp_path, monkeypatch):
     monkeypatch.setattr(rays, "_RAY_MEMO", {})
     found = enumerate_rays(3, 3, "EqLR")
     rays._RAY_MEMO.clear()
-    monkeypatch.setattr(rays, "exact_rank", None)  # a recomputation would fail
+    # a recomputation would fail
+    monkeypatch.setattr(rays, "exact_rank", None)
+    monkeypatch.setattr(rays, "_ranks_mod_p", None)
     assert enumerate_rays(3, 3, "EqLR") == found
     assert len(list(tmp_path.iterdir())) == 6  # LR and EqLR at r = 1, 2, 3
 
