@@ -230,6 +230,15 @@ class InequalitySystem:
         """The forms as int64 rows (every coefficient is 0 or +-1)."""
         return self.coeffs.astype(np.int64)
 
+    @cached_property
+    def pair_rows(self):
+        """Row i holds the products of form i's coefficient pairs, the
+        (rs)^2 entries of its outer product as int64: the Gram matrix of a
+        set of forms is the sum of their rows."""
+        forms = self.int_rows
+        m, n = forms.shape
+        return (forms[:, :, None] * forms[:, None, :]).reshape(m, n * n)
+
 
 def _unit(idx, n):
     v = [0] * n

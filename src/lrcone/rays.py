@@ -18,8 +18,8 @@ same steps on whole int64 arrays of flat points:
    divided by its gcd, and a lexsort on the columns dedups the rows and
    sorts them in the order `flatten` sorts points.
 3. Tight sets. One integer product of the pool with the form matrix gives
-   every form value: in float64 through BLAS, int64 or Python ints, each
-   where a stated bound shows it exact. A negative value raises, as
+   every form value: in float64 through BLAS where a stated bound shows
+   it exact, in Python ints otherwise. A negative value raises, as
    `certify` does. The forms tight at each row, T(p), are kept as packed
    bits.
 4. Rejection, then proof. A row with |T(p)| < rs - 1 cannot have tight
@@ -345,16 +345,14 @@ def _max_abs(a):
 
 def _int_product(a, b):
     """a @ b for integer arrays, exactly: every entry is an integer, held in
-    float64, int64 or Python ints. Each entry is a sum of a.shape[1] terms,
+    float64 or Python ints. Each entry is a sum of a.shape[1] terms,
     each at most max|a| * max|b|, so every partial sum is at most bound =
     a.shape[1] * max|a| * max|b|. Below 2**53 float64 holds every partial
-    sum exactly, so the product runs through BLAS in float64; below 2**63
-    it is taken in int64; above both in Python ints (object dtype)."""
+    sum exactly, so the product runs through BLAS in float64; otherwise it
+    is taken in Python ints (object dtype)."""
     bound = a.shape[1] * _max_abs(a) * _max_abs(b)
     if bound < 2**53:
         return a.astype(np.float64) @ b.astype(np.float64)
-    if bound < 2**63:
-        return a @ b
     return a.astype(object) @ b.astype(object)
 
 
@@ -503,12 +501,10 @@ def _ranks_mod_p(mats):
 def _grams(bits, system):
     """The Gram matrix A^T A of the forms A tight at each packed tight set
     in `bits`, as a (k, n, n) int64 stack: the tight mask times the
-    products of every form's coefficient pairs."""
-    forms = system.int_rows
-    m, n = forms.shape
-    pairs = (forms[:, :, None] * forms[:, None, :]).reshape(m, n * n)
+    products of every form's coefficient pairs (`system.pair_rows`)."""
+    m, n = system.int_rows.shape
     tight = np.unpackbits(bits.view(np.uint8), axis=1, count=m)
-    gram = _int_product(tight, pairs)
+    gram = _int_product(tight, system.pair_rows)
     return gram.astype(np.int64, copy=False).reshape(-1, n, n)
 
 
@@ -521,7 +517,9 @@ def _extremal(pool, r, s, kind):
     has rank rs - 1 mod p or, failing that, by `exact_rank` (step 4 of the
     module docstring). The ranks mod p are taken on a stack of Gram
     matrices, VALUES_BLOCK_BYTES of tight masks (8 bytes per form, as the
-    product takes them) at a time."""
+    product takes them) at a time. Beside the block the product holds the
+    system's pair table, m x (rs)^2 entries as int64 (cached with the
+    system) and once more as float64: 7.3 MB each at r = 7, s = 3."""
     system = inequality_system(r, s, kind)
     bits, sizes = _tight_sets(pool, system)
     extremal = np.zeros(len(pool), dtype=bool)

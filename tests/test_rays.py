@@ -176,7 +176,7 @@ def test_ranks_mod_p_hand_cases(mat, mod_p, over_q):
     # below 2**53 the product runs in float64 and every partial sum is exact
     ([(2**51, 2**51, 1)], [(1,), (1,), (1,)]),
     ([(2**52 + 1,)], [(1,)]),
-    # from 2**53 on float64 would round 2**53 + 1; int64 does not
+    # from 2**53 on float64 would round 2**53 + 1; Python ints do not
     ([(2**52, 2**52, 1)], [(1,), (1,), (1,)]),
     ([(2**53 + 1,)], [(1,)]),
     ([(-(2**52), -(2**52), -1), (3, -5, 7)], [(1, -1), (1, 2), (1, 0)]),
