@@ -47,12 +47,6 @@ CEILINGS = {"rays": ((6, 9), (5, 8)), "hilbert": ((5, 7), (5, 8)),
 HORN_WORK = 10**5
 
 
-class CommandError(Exception):
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
-
-
 def _emit(args, params, result, lines):
     """Write the text `lines`, or under `--format json` one object holding
     the command, its params and its result."""
@@ -79,22 +73,22 @@ def _check_ceilings(args, table, r, s, what=None, ds=None):
         if value > ceiling:
             hint = (f"; pass --extended to lift it to {extended}"
                     if value <= extended else "")
-            raise CommandError(
+            raise ValueError(
                 f"{name}={value} exceeds the {table} ceiling {ceiling}{hint}")
     # each C(r, d)^(s-1) is at least r and 2^(s-1), so past either bound the
     # sum is over the ceiling and is not computed
     if r >= 2 and s >= 3 and (r > HORN_WORK or s > HORN_WORK.bit_length()
                               or sum(math.comb(r, d) ** (s - 1)
                                      for d in ds or range(1, r)) > HORN_WORK):
-        raise CommandError(f"r={r}, s={s} exceeds the Horn work ceiling: "
-                           f"more than {HORN_WORK} subset tuples")
+        raise ValueError(f"r={r}, s={s} exceeds the Horn work ceiling: "
+                         f"more than {HORN_WORK} subset tuples")
 
 
 def cmd_horn(args):
     if args.r < 2:
-        raise CommandError(f"no valid d at r={args.r}: need 1 <= d < r")
+        raise ValueError(f"no valid d at r={args.r}: need 1 <= d < r")
     if not 1 <= args.d < args.r:
-        raise CommandError(f"d={args.d} out of range: need 1 <= d < r={args.r}")
+        raise ValueError(f"d={args.d} out of range: need 1 <= d < r={args.r}")
     _check_ceilings(args, None, args.r, args.s, ds=(args.d,))
     data = enumerate_horn(args.r, args.s, args.d)
     _emit(args, {"r": args.r, "s": args.s, "d": args.d},
@@ -117,13 +111,10 @@ def _parse_facet(args):
     K = parse_subset(args.K)
     d = len(K)
     if len(Is) != args.s - 1:
-        raise CommandError(f"expected {args.s - 1} subsets in --I, got {len(Is)}")
+        raise ValueError(f"expected {args.s - 1} subsets in --I, got {len(Is)}")
     _check_ceilings(args, "rays", args.r, args.s,
                     ("max(d, r-d)", max(d, args.r - d)))
-    try:
-        return HornDatum(args.r, args.s, d, Is, K).check()
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    return HornDatum(args.r, args.s, d, Is, K).check()
 
 
 def cmd_facet(args):
@@ -152,7 +143,7 @@ def cmd_member(args):
     try:
         x = parse_point(args.point)
     except ValueError as exc:
-        raise CommandError(f"bad point {args.point!r}: {exc}")
+        raise ValueError(f"bad point {args.point!r}: {exc}")
     _check_ceilings(args, None, len(x[0]), len(x))
     verdict = member(x, kind)
     _emit(args, {"point": args.point, "kind": kind}, {"member": verdict},
@@ -278,9 +269,6 @@ def main(argv=None):
         # buffered to devnull so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,13 +8,14 @@ Every cone is {x : Ax >= 0}: each form is a row of A, and an equality
 >= 0. Each system evaluates its forms at a single point in one place,
 `InequalitySystem.values`: an object-dtype matrix of the integer
 coefficients times the point, so int, Fraction and integers beyond int64
-keep exact Python arithmetic -- no tolerances. Two fixed-width copies serve
-the batch evaluators: `InequalitySystem.float_rows`, for the bounded
-Hilbert search, whose points are integers small enough that float64 holds
-every product and sum exactly, and `InequalitySystem.int_rows`, for the
-ray pipeline, which states its own int64 bound.
+keep exact Python arithmetic -- no tolerances. Batches of integer points
+go through one exact product, `exact_operands`: float64 through BLAS
+while a stated bound shows every partial sum below 2**53, Python ints
+otherwise. `InequalitySystem.members` is the batch membership mask on
+it; the ray pipeline takes its tight sets and Gram matrices from it.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -83,12 +84,13 @@ def point_scale(c, x):
     return tuple(tuple(c * a for a in b) for b in x)
 
 
-def is_lattice_point(x):
-    return all(isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
-               for v in flatten(x))
-
-
-def as_int_point(x):
+def int_point(x):
+    """x with every entry an int, or None if an entry is not an integer: a
+    rational number (int, numpy int, Fraction) with denominator 1."""
+    # int is listed first, so that plain ints skip the slower ABC check
+    if not all(isinstance(v, (int, numbers.Rational)) and v.denominator == 1
+               for v in flatten(x)):
+        return None
     return tuple(tuple(int(v) for v in b) for b in x)
 
 
@@ -183,6 +185,34 @@ def all_horn_data(r, s):
 
 
 # ---------------------------------------------------------------------------
+# exact integer products
+
+# Bytes of product entries (8 bytes each) a blocked batch evaluation holds
+# at once: `InequalitySystem.members`, and the tight sets and Gram matrices
+# of the ray pipeline.
+VALUES_BLOCK_BYTES = 2**20
+
+
+def _max_abs(a):
+    """The largest |entry| of an integer array, as a Python int."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def exact_operands(a, b):
+    """a and b, integer arrays, cast to one dtype in which a @ b is exact.
+
+    Each entry of a @ b is a sum of a.shape[1] terms, each at most max|a| *
+    max|b|, so every partial sum is at most bound = a.shape[1] * max|a| *
+    max|b|. Below 2**53 float64 holds every partial sum exactly, so the
+    product can run through BLAS in float64; otherwise the operands are
+    Python ints (object dtype). The bound holds for every row slice of a,
+    so a caller casts once and multiplies slice by slice."""
+    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
+    dtype = np.float64 if bound < 2**53 else object
+    return a.astype(dtype), b.astype(dtype)
+
+
+# ---------------------------------------------------------------------------
 # inequality systems
 
 @dataclass(frozen=True)
@@ -219,11 +249,16 @@ class InequalitySystem:
     def is_member(self, x):
         return self.holds(self.values(x))
 
-    @cached_property
-    def float_rows(self):
-        """The forms as float64 rows. Exact for points whose entries are
-        small integers."""
-        return self.coeffs.astype(np.float64)
+    def members(self, rows):
+        """`is_member` of each row of an integer array of flat points, as a
+        boolean mask, through `exact_operands`, VALUES_BLOCK_BYTES of form
+        values at a time."""
+        rows, forms = exact_operands(rows, self.int_rows.T)
+        step = max(1, VALUES_BLOCK_BYTES // (8 * forms.shape[1]))
+        ok = np.empty(len(rows), dtype=bool)
+        for at in range(0, len(rows), step):
+            ok[at:at + step] = (rows[at:at + step] @ forms >= 0).all(axis=1)
+        return ok
 
     @cached_property
     def int_rows(self):
@@ -331,9 +366,9 @@ def shadow(x, j):
     r, s = len(x[0]), len(x)
     if not 1 <= j <= s - 1:
         raise ValueError(f"block index {j} out of range [1, {s - 1}]")
-    if not is_lattice_point(x):
+    x = int_point(x)
+    if x is None:
         raise ValueError("shadow requires an integer point")
-    x = as_int_point(x)
     if not member(x, "EqLR"):
         raise ValueError("shadow requires a point of EqLR")
     block = x[j - 1]

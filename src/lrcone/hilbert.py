@@ -6,11 +6,11 @@ for each, through the tuples (lambda^1, ..., lambda^{s-1}, nu) that can be
 members: where the forms say lambda^j <= nu (containment, as in EqLR), each
 lambda^j ranges over the box partitions contained in nu, otherwise over
 the whole box. It filters membership in batch, in chunks of a fixed byte
-size (integer arithmetic through float64 matmuls, exact because all values
-are tiny), and keeps only the members. It then sieves them for
-indecomposables, layer by layer in weight, following the degree-layered
-reduction of Bruns & Ichim, "Normaliz: algorithms for affine monoids and
-rational cones", J. Algebra 324 (2010).
+size, through `InequalitySystem.members` (exact integer arithmetic, in
+float64 through BLAS under its stated bound), and keeps only the members.
+It then sieves them for indecomposables, layer by layer in weight,
+following the degree-layered reduction of Bruns & Ichim, "Normaliz:
+algorithms for affine monoids and rational cones", J. Algebra 324 (2010).
 
 The sieve uses the semigroup identity: a member x is decomposable iff
 x - h is a nonzero member for some basis element h of smaller weight with
@@ -29,7 +29,6 @@ before the next group is tried.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -40,6 +39,7 @@ from .cones import (
     check_point,
     flatten,
     inequality_system,
+    int_point,
     normalize_kind,
     point_sub,
     unflatten,
@@ -51,12 +51,11 @@ from .cones import (
 SEARCH_BYTE_BUDGET = 4 * 10**9
 # Bytes charged to one chunk of candidate rows in the membership mask: per
 # row its s box indices, its r*s flat entries three times (the pieces, the
-# row and its float64 copy), and its value under every row of the form
-# matrix. About 1,700 rows at r = 6, s = 3 (552 forms). The charge is an
-# upper bound: the mask evaluates a slice of forms at a time, so the values
-# it holds at once are one block of at most MASK_CHUNK_BYTES // 8 bytes
-# (1 MiB). The sieve cuts its domination tests into chunks of
-# MASK_CHUNK_BYTES.
+# row and its float64 copy), and its value under every form. About 1,700
+# rows at r = 6, s = 3 (552 forms). The charge is an upper bound: the mask
+# evaluates a slice of rows at a time, so the values it holds at once are
+# one block of at most cones.VALUES_BLOCK_BYTES (1 MiB). The sieve cuts its
+# domination tests into chunks of MASK_CHUNK_BYTES.
 MASK_CHUNK_BYTES = 2**23
 
 
@@ -75,7 +74,7 @@ def _choices(parts, nu, contained):
 
 def _chunk_rows(r, s, kind):
     """Candidate rows per call of the membership mask."""
-    per_row = 8 * (s + 3 * r * s + len(inequality_system(r, s, kind).float_rows))
+    per_row = 8 * (s + 3 * r * s + len(inequality_system(r, s, kind).forms))
     return max(1, MASK_CHUNK_BYTES // per_row)
 
 
@@ -119,14 +118,7 @@ def check_search_budget(r, s, kind, B):
 
 def _member_mask(flat_rows, r, s, kind):
     """Boolean mask of cone membership for an integer array of flat points."""
-    mat = inequality_system(r, s, kind).float_rows
-    cols = flat_rows.T.astype(np.float64)
-    # forms per slice: a values block of at most MASK_CHUNK_BYTES // 8 bytes
-    step = max(1, MASK_CHUNK_BYTES // (64 * len(flat_rows) or 1))
-    ok = np.ones(len(flat_rows), dtype=bool)
-    for at in range(0, len(mat), step):
-        ok &= (mat[at:at + step] @ cols >= 0).all(axis=0)
-    return ok
+    return inequality_system(r, s, kind).members(flat_rows)
 
 
 def _candidates(parts, s, contained, size):
@@ -267,17 +259,16 @@ def decomposition_witness(x, kind):
 
     Only for the pointed kinds LR, EqLR and CSL: in C and EqC every point
     splits along the lines of the cone, so ValueError is raised for them,
-    as for a point with an entry that is not an integer (an int, or a
-    Fraction with denominator 1).
+    as for a point with an entry that is not an integer (`int_point`).
     """
     x = check_point(x)
     kind = normalize_kind(kind)
     if kind not in ("CSL", "LR", "EqLR"):
         raise ValueError(f"{kind} is not pointed; indecomposability is not defined")
-    if not all(isinstance(v, numbers.Rational) and v.denominator == 1
-               for v in flatten(x)):
+    point = int_point(x)
+    if point is None:
         raise ValueError(f"not a lattice point: {x}")
-    x = tuple(tuple(int(v) for v in block) for block in x)
+    x = point
     if not any(flatten(x)):
         raise ValueError("the zero point is not a semigroup element")
     system = inequality_system(len(x[0]), len(x), kind)

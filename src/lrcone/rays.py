@@ -17,11 +17,10 @@ same steps on whole int64 arrays of flat points:
 2. Pool. Every candidate is one row. Zero rows are dropped, each row is
    divided by its gcd, and a lexsort on the columns dedups the rows and
    sorts them in the order `flatten` sorts points.
-3. Tight sets. One integer product of the pool with the form matrix gives
-   every form value: in float64 through BLAS where a stated bound shows
-   it exact, in Python ints otherwise. A negative value raises, as
-   `certify` does. The forms tight at each row, T(p), are kept as packed
-   bits.
+3. Tight sets. One exact integer product of the pool with the form
+   matrix (`cones.exact_operands`) gives every form value, a block of
+   rows at a time. A negative value raises, as `certify` does. The forms
+   tight at each row, T(p), are kept as packed bits.
 4. Rejection, then proof. A row with |T(p)| < rs - 1 cannot have tight
    rank rs - 1. A row whose T(p) lies inside T(q) for another row q is not
    extremal either, by this lemma: let p and q be distinct primitive
@@ -51,9 +50,11 @@ import numpy as np
 
 from .partitions import coef_of_subsets, omega, weight
 from .cones import (
+    VALUES_BLOCK_BYTES,
     HornDatum,
     all_horn_data,
     check_point,
+    exact_operands,
     flatten,
     format_point,
     horn_slack,
@@ -332,30 +333,6 @@ def diagonal_no_facet_check(r, s, l):
 # ---------------------------------------------------------------------------
 # the batched pipeline: candidate pools as int64 rows
 
-# Bytes of form values (8 bytes each) `_tight_sets` holds at once: at r = 7,
-# s = 3 (2,078 forms) a pool of 39,716 candidates would need 660 MB in one
-# block.
-VALUES_BLOCK_BYTES = 2**23
-
-
-def _max_abs(a):
-    """The largest |entry| of an int64 array, as a Python int."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
-
-
-def _int_product(a, b):
-    """a @ b for integer arrays, exactly: every entry is an integer, held in
-    float64 or Python ints. Each entry is a sum of a.shape[1] terms,
-    each at most max|a| * max|b|, so every partial sum is at most bound =
-    a.shape[1] * max|a| * max|b|. Below 2**53 float64 holds every partial
-    sum exactly, so the product runs through BLAS in float64; otherwise it
-    is taken in Python ints (object dtype)."""
-    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
-    if bound < 2**53:
-        return a.astype(np.float64) @ b.astype(np.float64)
-    return a.astype(object) @ b.astype(object)
-
-
 def _rows(points, n):
     """Points with n entries as an int64 array of flat rows."""
     return np.array([flatten(p) for p in points], dtype=np.int64).reshape(-1, n)
@@ -400,7 +377,8 @@ def _smaller_rays(d, r, s, kind):
 def _facet_images(h, rows):
     """The induction images of the rows of `_smaller_rays`, as int64 rows
     (OverflowError if an entry does not fit)."""
-    return _int_product(rows, _induction_matrix(h).T).astype(np.int64, copy=False)
+    images = np.matmul(*exact_operands(rows, _induction_matrix(h).T))
+    return images.astype(np.int64, copy=False)
 
 
 def _primitive_rows(rows):
@@ -431,12 +409,12 @@ def _tight_sets(pool, system):
 
     The pool is evaluated VALUES_BLOCK_BYTES of form values at a time.
     ValueError if a row lies outside the cone."""
-    coeffs = system.int_rows.T
-    bits = np.zeros((len(pool), 8 * -(-coeffs.shape[1] // 64)), dtype=np.uint8)
+    rows, forms = exact_operands(pool, system.int_rows.T)
+    bits = np.zeros((len(pool), 8 * -(-forms.shape[1] // 64)), dtype=np.uint8)
     sizes = np.zeros(len(pool), dtype=np.int64)
-    step = max(1, VALUES_BLOCK_BYTES // (8 * coeffs.shape[1]))
+    step = max(1, VALUES_BLOCK_BYTES // (8 * forms.shape[1]))
     for at in range(0, len(pool), step):
-        vals = _int_product(pool[at:at + step], coeffs)
+        vals = rows[at:at + step] @ forms
         outside = (vals < 0).any(axis=1)
         if outside.any():
             row = pool[at + outside.argmax()].tolist()
@@ -504,7 +482,7 @@ def _grams(bits, system):
     products of every form's coefficient pairs (`system.pair_rows`)."""
     m, n = system.int_rows.shape
     tight = np.unpackbits(bits.view(np.uint8), axis=1, count=m)
-    gram = _int_product(tight, system.pair_rows)
+    gram = np.matmul(*exact_operands(tight, system.pair_rows))
     return gram.astype(np.int64, copy=False).reshape(-1, n, n)
 
 
@@ -611,9 +589,7 @@ def _candidate_pool(r, s, kind):
     n = r * s
     # an omega-tuple whose k's sum past l lies outside LR
     special = _rows(special_rays(r, s), n)
-    inside = (_int_product(special, inequality_system(r, s, kind).int_rows.T)
-              >= 0).all(axis=1)
-    pool = [special[inside]]
+    pool = [special[inequality_system(r, s, kind).members(special)]]
     smaller = {d: _smaller_rays(d, r, s, kind) for d in range(1, r)}
     for h in all_horn_data(r, s):
         pool.append(_rows([p for _, p in _type1_rays(h)], n))

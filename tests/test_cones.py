@@ -20,7 +20,9 @@ from lrcone.cones import (
     parse_point,
     parse_subset,
     shadow,
+    unflatten,
 )
+from lrcone.hilbert import is_indecomposable
 from lrcone.rays import certify, exact_rank
 
 
@@ -292,3 +294,57 @@ def test_shadow_domain_errors():
         shadow(parse_point("1/2;0;1"), 1)  # not integral
     with pytest.raises(ValueError):
         shadow(parse_point("1;0;1"), 3)  # block index out of range
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_members_is_is_member_on_a_box(kind):
+    # every point of {-1, ..., 2}^6 at (r, s) = (2, 3): members and
+    # nonmembers of every kind, with negative entries for C and EqC
+    sys = inequality_system(2, 3, kind)
+    rows = np.array(list(product(range(-1, 3), repeat=6)), dtype=np.int64)
+    expected = [sys.is_member(unflatten(row, 2)) for row in rows.tolist()]
+    assert sys.members(rows).tolist() == expected
+    assert any(expected) and not all(expected)
+
+
+def test_members_is_exact_beyond_the_float64_bound():
+    # the trace of (2**60, 1, 2**60) is 1: in float64, 2**60 + 1 rounds to
+    # 2**60 and the trace would read 0
+    sys = inequality_system(1, 3, "LR")
+    rows = np.array([(2**60, 1, 2**60 + 1), (2**60, 1, 2**60),
+                     (2**60, 0, 2**60), (-1, 2**60 + 1, 2**60)], dtype=np.int64)
+    expected = [True, False, True, False]
+    assert [sys.is_member(unflatten(row, 1)) for row in rows.tolist()] == expected
+    assert sys.members(rows).tolist() == expected
+    # and at (2, 3), near 2**62, on random offsets of members of EqLR
+    eqlr = inequality_system(2, 3, "EqLR")
+    rng = np.random.default_rng(0)
+    base = np.array([(2, 1, 1, 1, 2, 2)], dtype=np.int64) * 2**60
+    rows = base + rng.integers(-2, 3, size=(200, 6))
+    expected = [eqlr.is_member(unflatten(row, 2)) for row in rows.tolist()]
+    assert eqlr.members(rows).tolist() == expected
+    assert any(expected) and not all(expected)
+
+
+X_INT = ((2, 1, 0), (1, 1, 0), (2, 2, 1))
+
+
+@pytest.mark.parametrize("x", [
+    tuple(tuple(np.int64(v) for v in b) for b in X_INT),
+    tuple(tuple(np.int32(v) for v in b) for b in X_INT),
+    ((Fraction(2, 1), 1, 0),) + X_INT[1:],
+])
+def test_integer_entries_of_any_type(x):
+    # shadow and is_indecomposable take the same integer points
+    assert shadow(x, 1) == shadow(X_INT, 1)
+    assert all(type(v) is int for b in shadow(x, 1) for v in b)
+    assert is_indecomposable(x, "EqLR") == is_indecomposable(X_INT, "EqLR")
+
+
+@pytest.mark.parametrize("value", [1.0, Fraction(1, 2)])
+def test_non_integer_entries_refused_alike(value):
+    x = ((2, value, 0),) + X_INT[1:]
+    with pytest.raises(ValueError, match="shadow requires an integer point"):
+        shadow(x, 1)
+    with pytest.raises(ValueError, match="not a lattice point"):
+        is_indecomposable(x, "EqLR")

@@ -14,6 +14,7 @@ from lrcone.cones import (
     HornDatum,
     all_horn_data,
     enumerate_horn,
+    exact_operands,
     flatten,
     horn_slack,
     inequality_system,
@@ -183,8 +184,8 @@ def test_ranks_mod_p_hand_cases(mat, mod_p, over_q):
 ])
 def test_int_product_is_exact_at_the_float64_bound(a, b):
     a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    assert rays._int_product(a, b).tolist() == (a.astype(object)
-                                                @ b.astype(object)).tolist()
+    assert np.matmul(*exact_operands(a, b)).tolist() == (a.astype(object)
+                                                         @ b.astype(object)).tolist()
 
 
 @settings(max_examples=100, deadline=None)
