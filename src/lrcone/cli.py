@@ -8,12 +8,12 @@ emits a single object validating against the schema shipped as
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import __version__
 from .cones import (
+    check_horn_work,
     enumerate_horn,
     format_point,
     HornDatum,
@@ -41,10 +41,6 @@ from .oracle import sample_spectrum_sum
 # needs B = 5, over the byte budget, so --extended does not lift its r.
 CEILINGS = {"rays": ((6, 9), (5, 8)), "hilbert": ((5, 7), (5, 8)),
             "tables": ((6, 9), (5, 8)), "hilbert-counts": ((5, 5), (5, 8))}
-# Every command that builds Horn data is also held, with or without
-# --extended, to this many subset tuples expanded by `enumerate_horn`: the
-# sum over d of C(r, d)^(s-1). (r, s) = (9, 3) expands 48,618, in about 3 s.
-HORN_WORK = 10**5
 
 
 def _emit(args, params, result, lines):
@@ -65,7 +61,8 @@ def _emit(args, params, result, lines):
 def _check_ceilings(args, table, r, s, what=None, ds=None):
     """Refuse, before any work, an r or an s above the ceilings of `table`
     (`what`, a (name, value) pair, is held to the r ceiling in place of r),
-    then a Horn work above HORN_WORK, over every 0 < d < r or the d in `ds`."""
+    then, over every 0 < d < r or the d in `ds`, a Horn work above the
+    library's ceiling (`check_horn_work`), which --extended does not lift."""
     held, held_value = what or ("r", r)
     for name, value, (default, extended) in zip((held, "s"), (held_value, s),
                                                   CEILINGS.get(table, ())):
@@ -75,13 +72,7 @@ def _check_ceilings(args, table, r, s, what=None, ds=None):
                     if value <= extended else "")
             raise ValueError(
                 f"{name}={value} exceeds the {table} ceiling {ceiling}{hint}")
-    # each C(r, d)^(s-1) is at least r and 2^(s-1), so past either bound the
-    # sum is over the ceiling and is not computed
-    if r >= 2 and s >= 3 and (r > HORN_WORK or s > HORN_WORK.bit_length()
-                              or sum(math.comb(r, d) ** (s - 1)
-                                     for d in ds or range(1, r)) > HORN_WORK):
-        raise ValueError(f"r={r}, s={s} exceeds the Horn work ceiling: "
-                         f"more than {HORN_WORK} subset tuples")
+    check_horn_work(r, s, ds)
 
 
 def cmd_horn(args):

@@ -15,6 +15,7 @@ otherwise. `InequalitySystem.members` is the batch membership mask on
 it; the ray pipeline takes its tight sets and Gram matrices from it.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -153,6 +154,25 @@ class HornDatum:
         return self
 
 
+# Horn enumeration at (r, s) expands C(r, d)^(s-1) subset tuples for each d.
+# More than this many is refused before any is expanded: for one d by
+# `enumerate_horn`, over every d by `inequality_system`. (r, s) = (9, 3)
+# expands 48,618 over every d, in about 3 s.
+HORN_WORK = 10**5
+
+
+def check_horn_work(r, s, ds=None):
+    """Raise ValueError if Horn enumeration at (r, s), over every 0 < d < r
+    or the d in `ds`, would expand more than HORN_WORK subset tuples."""
+    # each C(r, d)^(s-1) is at least r and 2^(s-1), so past either bound the
+    # sum is over the ceiling and is not computed
+    if r >= 2 and s >= 3 and (r > HORN_WORK or s > HORN_WORK.bit_length()
+                              or sum(math.comb(r, d) ** (s - 1)
+                                     for d in ds or range(1, r)) > HORN_WORK):
+        raise ValueError(f"r={r}, s={s} exceeds the Horn work ceiling: "
+                         f"more than {HORN_WORK} subset tuples")
+
+
 @lru_cache(maxsize=None)
 def enumerate_horn(r, s, d):
     """All Horn data at (r, s) for a fixed 1 <= d < r, lexicographic.
@@ -165,6 +185,7 @@ def enumerate_horn(r, s, d):
         raise ValueError(f"need s >= 3, got {s}")
     if not 1 <= d < r:
         raise ValueError(f"need 1 <= d < r, got d={d}, r={r}")
+    check_horn_work(r, s, (d,))
     box = (r - d,) * d
     out = []
     for Is in product(d_subsets(r, d), repeat=s - 1):
@@ -299,6 +320,7 @@ def inequality_system(r, s, kind):
     kind = normalize_kind(kind)
     if r < 1 or s < 3:
         raise ValueError(f"need r >= 1 and s >= 3, got r={r}, s={s}")
+    check_horn_work(r, s)
     n = r * s
     forms = []
 

@@ -15,17 +15,23 @@ algorithms for affine monoids and rational cones", J. Algebra 324 (2010).
 The sieve uses the semigroup identity: a member x is decomposable iff
 x - h is a nonzero member for some basis element h of smaller weight with
 h <= x. This is equivalent to the pairwise-summand definition and avoids a
-quadratic pass over all members. Each member row gets an exact mixed-radix
-code, base B+1 per coordinate, so the code of x - h is code(x) - code(h)
-whenever h <= x, and membership of x - h is one binary search in the
-sorted codes of the members of weight |x| - |h|. Two members of the same
-weight never decompose one another, so the sieve goes up the weight layers
-and holds the basis found so far as one group per weight. Each layer is
-decided against each lighter group in one batch: one domination test of
-every (element, row) pair, on a narrow unsigned copy of the rows, cut into
-chunks of at most MASK_CHUNK_BYTES; one binary search per dominated pair;
-and one compaction of the layer, which drops the rows shown decomposable
-before the next group is tried.
+quadratic pass over all members. The sieve works on the s box indices of
+each member, not on its flat row. With m box partitions, a dense boolean
+member table has one entry per index tuple, read in mixed radix m + 1: the
+extra digit m of each block is an "absent" slot that no member uses. A
+difference table gives, for each block j and box partitions a and b, the
+index of parts[a] - parts[b] times the radix of block j, or the absent
+digit times that radix when the difference is not a partition. The blocks
+of every member are partitions, and a difference of two box partitions
+that is a partition lies in the box; so x - h is a member exactly when the
+member table holds the sum of its s difference-table entries (one absent
+digit is enough to miss). Two members of the same weight never decompose
+one another, so the sieve goes up the weight layers and holds the basis
+found so far as one group per weight. Each layer is decided against each
+lighter group in one batch: s gathers and one lookup for every (element,
+row) pair, cut into chunks of at most MASK_CHUNK_BYTES, and one compaction
+of the layer, which drops the rows shown decomposable before the next
+group is tried. Flat rows are built for the basis only.
 """
 
 import math
@@ -47,7 +53,7 @@ from .cones import (
 
 # The only memory guard: bytes the bounded search may allocate, as counted
 # by check_search_budget. (r,s,B) = (6,3,4) needs about 0.8 GB and runs;
-# (6,3,5) would need about 6.9 GB and is refused.
+# (6,3,5) would need about 7.0 GB and is refused.
 SEARCH_BYTE_BUDGET = 4 * 10**9
 # Bytes charged to one chunk of candidate rows in the membership mask: per
 # row its s box indices, its r*s flat entries three times (the pieces, the
@@ -55,7 +61,9 @@ SEARCH_BYTE_BUDGET = 4 * 10**9
 # rows at r = 6, s = 3 (552 forms). The charge is an upper bound: the mask
 # evaluates a slice of rows at a time, so the values it holds at once are
 # one block of at most cones.VALUES_BLOCK_BYTES (1 MiB). The sieve cuts its
-# domination tests into chunks of MASK_CHUNK_BYTES.
+# (element, row) pairs into chunks of MASK_CHUNK_BYTES at 17 bytes a pair:
+# the running sum of its difference-table entries and the gather of the
+# next block, an intp each, and its member-table lookup, a bool.
 MASK_CHUNK_BYTES = 2**23
 
 
@@ -87,19 +95,23 @@ def check_search_budget(r, s, kind, B):
     beside nu, and keeps the members among them. The estimate counts one
     chunk of MASK_CHUNK_BYTES (a mask chunk during the search, then a sieve
     chunk, which take turns), the index block of the largest nu three times
-    (its grid, stacked with nu, and joined to the rows before it), and T
-    kept rows, each counted three times at 8 * (s + r*s) bytes: it is held
-    as index columns, then as a flat row, then by the sieve as its code,
-    sorted code, weight, position in weight order and narrow copy (32 + r*s
-    bytes)."""
+    (its grid, stacked with nu, and joined to the rows before it), the
+    sieve's member table ((m+1)^s bools, m the number of box partitions)
+    and difference table (s * m^2 intp, 8 bytes each), and T kept rows,
+    each counted three times at 8 * (s + r*s) bytes. The per-row charge is
+    an upper bound: a member is held as its s index columns, and the sieve
+    adds a few int64 a row (its weight, its position in weight order, its
+    member-table index) and flat rows for the basis only."""
     contained = _contains(r, s, kind)
+    m = math.comb(r + B, r)
+    tables = (m + 1) ** s + 8 * s * m * m
 
     def need(rows, block):
-        return 8 * 3 * (rows * (s + r * s) + s * block) + MASK_CHUNK_BYTES
+        return (8 * 3 * (rows * (s + r * s) + s * block) + tables
+                + MASK_CHUNK_BYTES)
 
     # nu = (B, ..., B) contains all m partitions of the box, so its block
     # has m^(s-1) rows; without containment so has every block
-    m = math.comb(r + B, r)
     block = m ** (s - 1)
     rows = block if contained else block * m
     exact = not contained
@@ -121,6 +133,12 @@ def _member_mask(flat_rows, r, s, kind):
     return inequality_system(r, s, kind).members(flat_rows)
 
 
+def _flat_rows(parts, idx):
+    """The flat rows of the points whose box indices are the columns of
+    `idx` (s x n)."""
+    return np.concatenate([parts[i] for i in idx], axis=1)
+
+
 def _candidates(parts, s, contained, size):
     """The box indices (lambda^1, ..., lambda^{s-1}, nu) of every candidate
     tuple, generated nu by nu and cut into s x `size` int64 chunks (the
@@ -140,22 +158,28 @@ def _candidates(parts, s, contained, size):
         yield np.concatenate(held, axis=1)
 
 
-def _member_rows(r, s, kind, B):
-    """The nonzero lattice points of the cone in the r x B box, as an int64
-    array of flat rows (block after block), in box order: ascending
-    lexicographically."""
+def _member_indices(r, s, kind, B):
+    """The partitions of the r x B box, in ascending order, and the box
+    indices of the nonzero lattice points of the cone in the box, as s x n
+    int64 columns in the order they are generated."""
     check_search_budget(r, s, kind, B)
     parts = np.array(partitions_in_box(r, B), dtype=np.int64)
     chunks = _candidates(parts, s, _contains(r, s, kind), _chunk_rows(r, s, kind))
     idx = np.concatenate(
-        [chunk[:, _member_mask(np.concatenate([parts[i] for i in chunk], axis=1),
-                               r, s, kind)] for chunk in chunks], axis=1)
+        [chunk[:, _member_mask(_flat_rows(parts, chunk), r, s, kind)]
+         for chunk in chunks], axis=1)
+    # the zero point is a member of every cone and is generated first
+    return parts, idx[:, 1:]
+
+
+def _member_rows(r, s, kind, B):
+    """The nonzero lattice points of the cone in the r x B box, as an int64
+    array of flat rows (block after block), in box order: ascending
+    lexicographically."""
+    parts, idx = _member_indices(r, s, kind, B)
     # the partitions are listed in ascending order, so the index tuples
     # sorted lambda^1 first give the flat rows in ascending order
-    idx = idx[:, np.lexsort(idx[::-1])]
-    rows = np.concatenate([parts[i] for i in idx], axis=1)
-    # the zero point is a member of every cone and comes first
-    return rows[1:]
+    return _flat_rows(parts, idx[:, np.lexsort(idx[::-1])])
 
 
 def lattice_points_bounded(r, s, kind, B):
@@ -167,57 +191,62 @@ def lattice_points_bounded(r, s, kind, B):
     return [unflatten(row, r) for row in _member_rows(r, s, kind, B).tolist()]
 
 
-def _code_base(r, s, B):
-    """The radix B+1 of the member codes, once it is known that every code
-    (a number below (B+1)**(r*s)) fits in an int64."""
-    if (B + 1) ** (r * s) >= 2**63:
-        raise ValueError(
-            f"the codes of the bounded search at r={r}, s={s}, B={B} need "
-            f"(B+1)**(r*s) = {B + 1}**{r * s} < 2**63 to fit in int64")
-    return B + 1
+def _differences(parts):
+    """sub[a, b]: the index in `parts` of parts[a] - parts[b], or len(parts),
+    the absent slot, where that difference is not a partition (an entry is
+    negative or the entries increase). A difference of two box partitions
+    that is a partition lies in the box, so it is found among `parts`, which
+    are in ascending order, by one lexicographic binary search."""
+    m, r = parts.shape
+    diff = parts[:, None] - parts[None]
+    ok = (diff[..., -1] >= 0) & (diff[..., :-1] >= diff[..., 1:]).all(axis=-1)
+    # each row as one record of r int64 fields, which compare lexicographically
+    record = np.dtype([("", parts.dtype)] * r)
+    sub = np.full((m, m), m, dtype=np.intp)
+    sub[ok] = np.searchsorted(parts.view(record).ravel(), diff[ok].view(record).ravel())
+    return sub
 
 
-def _sieve(rows, base):
-    """The indecomposable rows among the member rows `rows` (every entry
-    below `base`), as an array in weight order, in `rows` order within a
-    weight."""
-    if not len(rows):
-        return rows
-    codes = rows @ base ** np.arange(rows.shape[1], dtype=np.int64)
-    # every entry is below base, so a narrow copy decides domination
-    narrow = rows.astype(np.min_scalar_type(base - 1))
-    weights = rows.sum(axis=1)
+def _sieve(parts, idx):
+    """The indecomposable points among the nonzero members whose box indices
+    are the columns of `idx`, as index columns in weight order, in `idx`
+    order within a weight. The member table is filled from `idx`, so it
+    must hold every nonzero member of the box."""
+    if not idx.shape[1]:
+        return idx
+    m, s = len(parts), len(idx)
+    radix = (m + 1) ** np.arange(s - 1, -1, -1, dtype=np.intp)
+    table = np.zeros((m + 1) ** s, dtype=bool)
+    table[radix @ idx] = True
+    sub = _differences(parts) * radix[:, None, None]
+    weights = parts.sum(axis=1)[idx].sum(axis=0)
     order = np.argsort(weights, kind="stable")
     cuts = np.flatnonzero(np.diff(weights[order])) + 1
-    # the sorted member codes of each weight, and the basis found so far as
-    # one (weight, narrow rows, codes, row indices) group per weight
-    known, groups = {}, []
+    present = set(weights[order[np.r_[0, cuts]]].tolist())
+    # the basis found so far, as one (weight, index columns) group per weight
+    groups = []
     for left in np.split(order, cuts):
         weight = int(weights[left[0]])
-        known[weight] = np.sort(codes[left])
         # the rows of this layer not yet shown decomposable
-        left_rows, left_codes = narrow[left], codes[left]
-        for group_weight, group_rows, group_codes, _ in groups:
-            # x - h has weight |x| - |h|: look it up among those members
-            rests = known.get(weight - group_weight)
-            if rests is None:
+        x = idx[:, left]
+        for group_weight, group in groups:
+            # x - h has weight |x| - |h|: no member of that weight, no test
+            if weight - group_weight not in present:
                 continue
-            # group elements per chunk of (element, row) pairs: a pair takes
-            # one byte per entry and one for the domination test, then five
-            # int64 for the indices, codes and lookup of a dominated pair
-            step = max(1, MASK_CHUNK_BYTES // (len(left) * (narrow.shape[1] + 41)))
-            keep = np.ones(len(left), dtype=bool)
-            for at in range(0, len(group_rows), step):
-                h, x = np.nonzero((left_rows[None] >= group_rows[at:at + step, None])
-                                  .all(axis=-1))
-                rest = left_codes[x] - group_codes[at + h]
-                found = np.minimum(np.searchsorted(rests, rest), len(rests) - 1)
-                keep[x[rests[found] == rest]] = False
-            left, left_rows, left_codes = left[keep], left_rows[keep], left_codes[keep]
-            if not len(left):
+            # 17 bytes a pair (see MASK_CHUNK_BYTES)
+            step = max(1, MASK_CHUNK_BYTES // (17 * x.shape[1]))
+            keep = np.ones(x.shape[1], dtype=bool)
+            for at in range(0, group.shape[1], step):
+                h = group[:, at:at + step, None]
+                rest = sub[0][x[0], h[0]]
+                for j in range(1, s):
+                    rest += sub[j][x[j], h[j]]
+                keep[table[rest].any(axis=0)] = False
+            x = x[:, keep]
+            if not x.shape[1]:
                 break
-        groups.append((weight, left_rows, left_codes, left))
-    return rows[np.concatenate([left for *_, left in groups])]
+        groups.append((weight, x))
+    return np.concatenate([x for _, x in groups], axis=1)
 
 
 @dataclass(frozen=True)
@@ -234,17 +263,28 @@ class BoundedBasis:
                 "points": [[list(b) for b in p] for p in self.points]}
 
 
+def _pointed(kind):
+    """The normalized kind, if the cone is pointed: in C and EqC every point
+    splits along the lines of the cone, so ValueError is raised for them."""
+    kind = normalize_kind(kind)
+    if kind not in ("CSL", "LR", "EqLR"):
+        raise ValueError(f"{kind} is not pointed; indecomposability is not defined")
+    return kind
+
+
 def hilbert_basis_bounded(r, s, kind, B):
     """All indecomposable lattice points with every block in the r x B box.
 
     Complete for the true Hilbert basis only insofar as the basis fits the
-    bound; the result records the bound used.
+    bound; the result records the bound used. Only for the pointed kinds
+    LR, EqLR and CSL: ValueError is raised for C and EqC, as in
+    `decomposition_witness`.
     """
-    kind = normalize_kind(kind)
+    kind = _pointed(kind)
     if B < 1:
         raise ValueError(f"bound must be >= 1, got {B}")
-    base = _code_base(r, s, B)
-    basis = sorted(map(tuple, _sieve(_member_rows(r, s, kind, B), base).tolist()))
+    parts, idx = _member_indices(r, s, kind, B)
+    basis = sorted(map(tuple, _flat_rows(parts, _sieve(parts, idx)).tolist()))
     return BoundedBasis(r, s, kind, B, tuple(unflatten(row, r) for row in basis))
 
 
@@ -262,9 +302,7 @@ def decomposition_witness(x, kind):
     as for a point with an entry that is not an integer (`int_point`).
     """
     x = check_point(x)
-    kind = normalize_kind(kind)
-    if kind not in ("CSL", "LR", "EqLR"):
-        raise ValueError(f"{kind} is not pointed; indecomposability is not defined")
+    kind = _pointed(kind)
     point = int_point(x)
     if point is None:
         raise ValueError(f"not a lattice point: {x}")

@@ -140,6 +140,9 @@ ROW12 = ",".join(["1"] * 12)
     (["facet", "--r", "2", "--s", "6", "--I", "{1};{1};{1};{1};{1}", "--K", "{1}"],
      True),
     (["hilbert", "--r", "2", "--s", "6", "--bound", "1"], True),
+    # C and EqC have lines, so indecomposability is not defined in them
+    (["hilbert", "--r", "2", "--bound", "1", "--kind", "c"], False),
+    (["hilbert", "--r", "2", "--bound", "1", "--kind", "eqc"], False),
     (["tables", "--which", "ray-counts", "--max-r", "2", "--s", "6"], True),
     # within the r and s ceilings, over the Horn work ceiling
     (["horn", "--r", "7", "--d", "3", "--s", "5"], False),
@@ -168,7 +171,7 @@ def test_refused_at_once(capsys, argv, suggests_extended):
 
 def test_tables_hilbert_counts_refused_before_any_search(capsys, monkeypatch):
     # with a 20 MB budget rows r <= 3 fit (about 9 MB each) and r = 4, with
-    # bound 4, does not (about 33 MB): every row's budget is checked before
+    # bound 4, does not (about 34 MB): every row's budget is checked before
     # the first search starts, and as soon as its rays are known, so the
     # rays of row 5 are never enumerated
     def search(*args, **kwargs):

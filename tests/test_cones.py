@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from lrcone import cones
 from lrcone.partitions import multi_coef, partitions_in_box, subpartitions, trim
 from lrcone.cones import (
     KINDS,
@@ -49,6 +50,18 @@ def test_enumerate_horn_range_errors():
         enumerate_horn(1, 3, 1)
     with pytest.raises(ValueError):
         enumerate_horn(3, 3, 3)
+
+
+def test_horn_work_refused_before_expanding(monkeypatch):
+    # W(12, 3) = sum over d of C(12, d)^2, about 2.7 million subset tuples
+    def expand(*args, **kwargs):
+        raise AssertionError("Horn data were expanded")
+    monkeypatch.setattr(cones, "multi_expand", expand)
+    message = "r=12, s=3 exceeds the Horn work ceiling: more than 100000 subset tuples"
+    with pytest.raises(ValueError, match=message):
+        enumerate_horn(12, 3, 6)
+    with pytest.raises(ValueError, match=message):
+        member(((1,) * 12,) * 3, "EqLR")
 
 
 def test_enumerate_horn_matches_brute_force():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrcone import hilbert
+from lrcone import cones, hilbert
 from lrcone.cones import member, parse_point, point_add
 from lrcone.partitions import partitions_in_box
 from lrcone.hilbert import (
@@ -14,7 +14,7 @@ from lrcone.hilbert import (
     is_indecomposable,
     lattice_points_bounded,
 )
-from lrcone.rays import enumerate_rays
+from lrcone.rays import enumerate_rays, is_extremal
 
 
 def test_lattice_points_bounded_r1():
@@ -74,6 +74,8 @@ def test_witness_refuses_cones_with_lines(kind):
         decomposition_witness(x, kind)
     with pytest.raises(ValueError, match="not pointed"):
         is_indecomposable(x, kind)
+    with pytest.raises(ValueError, match="not pointed"):
+        hilbert_basis_bounded(2, 3, kind, 1)
 
 
 def test_witness_refuses_non_integer_points():
@@ -140,27 +142,45 @@ def per_element_sieve(rows, base):
     return basis_rows
 
 
-# 50 bytes is less than two (element, row) pairs take (41 bytes and one per
-# entry each), so every group of basis elements of one weight is tested one
-# element per chunk
+# 50 bytes holds at most two (element, row) pairs (17 bytes each), so every
+# group of basis elements of one weight is tested one or two elements per
+# chunk
 @pytest.mark.parametrize("chunk_bytes", [hilbert.MASK_CHUNK_BYTES, 50])
 @pytest.mark.parametrize("r, s, kind, B", [(4, 4, "EqLR", 2), (6, 3, "EqLR", 2),
                                            (5, 3, "EqLR", 3), (3, 3, "LR", 3),
                                            (3, 3, "CSL", 2), (1, 3, "CSL", 1)])
 def test_batched_sieve_matches_per_element_sieve(monkeypatch, r, s, kind, B,
                                                  chunk_bytes):
-    rows = hilbert._member_rows(r, s, kind, B)
+    parts, idx = hilbert._member_indices(r, s, kind, B)
+    # the members in box order, as index columns and as flat rows
+    idx = idx[:, np.lexsort(idx[::-1])]
+    rows = hilbert._flat_rows(parts, idx)
     expected = [row.tolist() for row in per_element_sieve(rows, B + 1)]
     monkeypatch.setattr(hilbert, "MASK_CHUNK_BYTES", chunk_bytes)
-    assert hilbert._sieve(rows, B + 1).tolist() == expected
+    basis = hilbert._sieve(parts, idx)
+    assert hilbert._flat_rows(parts, basis).tolist() == expected
 
 
-def test_codes_must_fit_in_int64():
-    # (B+1)**(r*s) must stay below 2**63: at r*s = 63 and B = 1 it is 2**63
-    assert hilbert._code_base(31, 2, 1) == 2
-    with pytest.raises(ValueError, match="int64"):
-        hilbert._code_base(21, 3, 1)
-    with pytest.raises(ValueError, match="int64"):
+def test_difference_table():
+    parts = np.array(partitions_in_box(3, 2), dtype=np.int64)
+    sub = hilbert._differences(parts)
+    index = {tuple(p): i for i, p in enumerate(parts.tolist())}
+    m = len(parts)
+    for a, b in np.ndindex(m, m):
+        diff = tuple(parts[a] - parts[b])
+        assert sub[a, b] == index.get(diff, m), (parts[a], parts[b])
+    # (1,1,0) dominates (1,0,0), but their difference (0,1,0) increases: it
+    # is not a partition and maps to the absent slot
+    assert sub[index[1, 1, 0], index[1, 0, 0]] == m
+
+
+def test_horn_work_refused_at_once(monkeypatch):
+    # r = 21 would expand the Horn data of every 0 < d < 21 before the
+    # search starts; the Horn work ceiling refuses it before any expansion
+    def expand(*args, **kwargs):
+        raise AssertionError("Horn data were expanded")
+    monkeypatch.setattr(cones, "multi_expand", expand)
+    with pytest.raises(ValueError, match="Horn work"):
         hilbert_basis_bounded(21, 3, "EqLR", 1)
 
 
@@ -288,3 +308,13 @@ def test_basis_restricts_to_smaller_bound():
 def test_primitive_rays_are_indecomposable():
     assert all(is_indecomposable(p, "EqLR") for p in enumerate_rays(2, 3, "EqLR"))
     assert not is_indecomposable(parse_point("2,0;2,0;2,2"), "LR")
+
+
+@pytest.mark.parametrize("r, s, rays, nonextremal", [(3, 4, 125, 20), (2, 5, 102, 6)])
+def test_basis_beyond_s3_extends_the_rays(r, s, rays, nonextremal):
+    # at B = 4 every EqLR ray fits the box: the extremal basis elements are
+    # exactly the rays, and the rest of the basis is not extremal
+    basis = hilbert_basis_bounded(r, s, "EqLR", 4).points
+    extremal = {p for p in basis if is_extremal(p, "EqLR")}
+    assert extremal == set(enumerate_rays(r, s, "EqLR"))
+    assert len(extremal) == rays and len(basis) - len(extremal) == nonextremal
