@@ -9,10 +9,10 @@ Every cone is {x : Ax >= 0}: each form is a row of A, and an equality
 `InequalitySystem.values`: an object-dtype matrix of the integer
 coefficients times the point, so int, Fraction and integers beyond int64
 keep exact Python arithmetic -- no tolerances. Batches of integer points
-go through one exact product, `exact_operands`: float64 through BLAS
+are multiplied in one exact dtype, `exact_dtype`: float64 through BLAS
 while a stated bound shows every partial sum below 2**53, Python ints
-otherwise. `InequalitySystem.members` is the batch membership mask on
-it; the ray pipeline takes its tight sets and Gram matrices from it.
+otherwise. `InequalitySystem.value_blocks` yields the form values of a
+batch `block_rows` rows at a time to `members` and the ray pipeline.
 """
 
 import math
@@ -209,8 +209,8 @@ def all_horn_data(r, s):
 # exact integer products
 
 # Bytes of product entries (8 bytes each) a blocked batch evaluation holds
-# at once: `InequalitySystem.members`, and the tight sets and Gram matrices
-# of the ray pipeline.
+# at once: the form values of `InequalitySystem.value_blocks`, and the tight
+# masks of the ray pipeline's Gram matrices, both `block_rows` rows a block.
 VALUES_BLOCK_BYTES = 2**20
 
 
@@ -219,17 +219,22 @@ def _max_abs(a):
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-def exact_operands(a, b):
-    """a and b, integer arrays, cast to one dtype in which a @ b is exact.
+def exact_dtype(a, b):
+    """A dtype in which a @ b is exact, for integer arrays a and b.
 
     Each entry of a @ b is a sum of a.shape[1] terms, each at most max|a| *
     max|b|, so every partial sum is at most bound = a.shape[1] * max|a| *
     max|b|. Below 2**53 float64 holds every partial sum exactly, so the
     product can run through BLAS in float64; otherwise the operands are
     Python ints (object dtype). The bound holds for every row slice of a,
-    so a caller casts once and multiplies slice by slice."""
+    so one dtype serves a product taken slice by slice."""
     bound = a.shape[1] * _max_abs(a) * _max_abs(b)
-    dtype = np.float64 if bound < 2**53 else object
+    return np.float64 if bound < 2**53 else object
+
+
+def exact_operands(a, b):
+    """a and b, integer arrays, cast to `exact_dtype(a, b)`."""
+    dtype = exact_dtype(a, b)
     return a.astype(dtype), b.astype(dtype)
 
 
@@ -270,15 +275,26 @@ class InequalitySystem:
     def is_member(self, x):
         return self.holds(self.values(x))
 
+    @property
+    def block_rows(self):
+        """Rows in one block of VALUES_BLOCK_BYTES of form values, 8 each."""
+        return max(1, VALUES_BLOCK_BYTES // (8 * len(self.forms)))
+
+    def value_blocks(self, rows):
+        """Yield (at, values): every form's value at rows[at:at + block_rows]
+        of an integer array of flat points, in the batch's `exact_dtype`."""
+        dtype = exact_dtype(rows, self.int_rows.T)
+        forms = self.int_rows.T.astype(dtype)
+        for at in range(0, len(rows), self.block_rows):
+            yield at, rows[at:at + self.block_rows].astype(dtype) @ forms
+
     def members(self, rows):
         """`is_member` of each row of an integer array of flat points, as a
-        boolean mask, through `exact_operands`, VALUES_BLOCK_BYTES of form
-        values at a time."""
-        rows, forms = exact_operands(rows, self.int_rows.T)
-        step = max(1, VALUES_BLOCK_BYTES // (8 * forms.shape[1]))
+        boolean mask, one value block at a time."""
         ok = np.empty(len(rows), dtype=bool)
-        for at in range(0, len(rows), step):
-            ok[at:at + step] = (rows[at:at + step] @ forms >= 0).all(axis=1)
+        for at, values in self.value_blocks(rows):
+            ok[at:at + len(values)] = (values >= 0).all(axis=1)
+            del values  # so that the next block is not made beside this one
         return ok
 
     @cached_property

@@ -42,6 +42,7 @@ import numpy as np
 
 from .partitions import partitions_in_box, subpartitions, weight
 from .cones import (
+    VALUES_BLOCK_BYTES,
     check_point,
     flatten,
     inequality_system,
@@ -55,15 +56,14 @@ from .cones import (
 # by check_search_budget. (r,s,B) = (6,3,4) needs about 0.8 GB and runs;
 # (6,3,5) would need about 7.0 GB and is refused.
 SEARCH_BYTE_BUDGET = 4 * 10**9
-# Bytes charged to one chunk of candidate rows in the membership mask: per
-# row its s box indices, its r*s flat entries three times (the pieces, the
-# row and its float64 copy), and its value under every form. About 1,700
-# rows at r = 6, s = 3 (552 forms). The charge is an upper bound: the mask
-# evaluates a slice of rows at a time, so the values it holds at once are
-# one block of at most cones.VALUES_BLOCK_BYTES (1 MiB). The sieve cuts its
-# (element, row) pairs into chunks of MASK_CHUNK_BYTES at 17 bytes a pair:
-# the running sum of its difference-table entries and the gather of the
-# next block, an intp each, and its member-table lookup, a bool.
+# Bytes charged to one chunk of candidate rows in the membership mask: 8 a
+# row for each of its s box indices and 3 * 8 for each of its r*s entries
+# (the row itself, with room to spare for the float64 copy of each block),
+# so 18,396 rows at r = 6, s = 3. The mask's block of form values is
+# charged beside it. The sieve cuts its (element, row) pairs into chunks of
+# MASK_CHUNK_BYTES at 17 bytes a pair: the running sum of its
+# difference-table entries and the gather of the next block, an intp each,
+# and its member-table lookup, a bool.
 MASK_CHUNK_BYTES = 2**23
 
 
@@ -80,10 +80,9 @@ def _choices(parts, nu, contained):
     return np.arange(len(parts))
 
 
-def _chunk_rows(r, s, kind):
-    """Candidate rows per call of the membership mask."""
-    per_row = 8 * (s + 3 * r * s + len(inequality_system(r, s, kind).forms))
-    return max(1, MASK_CHUNK_BYTES // per_row)
+def _chunk_rows(r, s):
+    """Candidate rows per call of the membership mask, at most."""
+    return max(1, MASK_CHUNK_BYTES // (8 * (s + 3 * r * s)))
 
 
 def check_search_budget(r, s, kind, B):
@@ -93,13 +92,13 @@ def check_search_budget(r, s, kind, B):
     The search builds, nu by nu, T = sum over nu of k(nu)^(s-1) candidate
     rows, where k(nu) is the number of box partitions each lambda^j may take
     beside nu, and keeps the members among them. The estimate counts one
-    chunk of MASK_CHUNK_BYTES (a mask chunk during the search, then a sieve
-    chunk, which take turns), the index block of the largest nu three times
-    (its grid, stacked with nu, and joined to the rows before it), the
-    sieve's member table ((m+1)^s bools, m the number of box partitions)
-    and difference table (s * m^2 intp, 8 bytes each), and T kept rows,
-    each counted three times at 8 * (s + r*s) bytes. The per-row charge is
-    an upper bound: a member is held as its s index columns, and the sieve
+    chunk of MASK_CHUNK_BYTES (a mask chunk, then a sieve chunk: they take
+    turns) and the mask's block of form values, the index block of the
+    largest nu three times (the index grid, its choices, and those stacked
+    with nu), the sieve's member table ((m+1)^s bools, m the number of box
+    partitions) and difference table (s * m^2 intp), and T kept rows, each
+    counted three times at 8 * (s + r*s) bytes. The per-row charge is an
+    upper bound: a member is held as its s index columns, and the sieve
     adds a few int64 a row (its weight, its position in weight order, its
     member-table index) and flat rows for the basis only."""
     contained = _contains(r, s, kind)
@@ -108,7 +107,7 @@ def check_search_budget(r, s, kind, B):
 
     def need(rows, block):
         return (8 * 3 * (rows * (s + r * s) + s * block) + tables
-                + MASK_CHUNK_BYTES)
+                + MASK_CHUNK_BYTES + VALUES_BLOCK_BYTES)
 
     # nu = (B, ..., B) contains all m partitions of the box, so its block
     # has m^(s-1) rows; without containment so has every block
@@ -135,27 +134,20 @@ def _member_mask(flat_rows, r, s, kind):
 
 def _flat_rows(parts, idx):
     """The flat rows of the points whose box indices are the columns of
-    `idx` (s x n)."""
-    return np.concatenate([parts[i] for i in idx], axis=1)
+    `idx` (s x n), gathered at once as n x s blocks of r."""
+    return parts[idx.T].reshape(-1, parts.shape[1] * len(idx))
 
 
 def _candidates(parts, s, contained, size):
     """The box indices (lambda^1, ..., lambda^{s-1}, nu) of every candidate
-    tuple, generated nu by nu and cut into s x `size` int64 chunks (the
-    last may be shorter)."""
-    held, count = [], 0
+    tuple, as s x n int64 chunks: nu by nu, the block of each nu cut into
+    chunks of at most `size` columns."""
     for v, nu in enumerate(parts):
         choices = _choices(parts, nu, contained)
         grid = choices[np.indices((len(choices),) * (s - 1)).reshape(s - 1, -1)]
-        held.append(np.vstack([grid, np.full((1, grid.shape[1]), v)]))
-        count += grid.shape[1]
-        if count >= size:
-            cat = np.concatenate(held, axis=1)
-            full = count - count % size
-            yield from (cat[:, at:at + size] for at in range(0, full, size))
-            held, count = [cat[:, full:]], count - full
-    if count:
-        yield np.concatenate(held, axis=1)
+        block = np.vstack([grid, np.full((1, grid.shape[1]), v)])
+        for at in range(0, block.shape[1], size):
+            yield block[:, at:at + size]
 
 
 def _member_indices(r, s, kind, B):
@@ -164,7 +156,7 @@ def _member_indices(r, s, kind, B):
     int64 columns in the order they are generated."""
     check_search_budget(r, s, kind, B)
     parts = np.array(partitions_in_box(r, B), dtype=np.int64)
-    chunks = _candidates(parts, s, _contains(r, s, kind), _chunk_rows(r, s, kind))
+    chunks = _candidates(parts, s, _contains(r, s, kind), _chunk_rows(r, s))
     idx = np.concatenate(
         [chunk[:, _member_mask(_flat_rows(parts, chunk), r, s, kind)]
          for chunk in chunks], axis=1)
@@ -172,13 +164,9 @@ def _member_indices(r, s, kind, B):
     return parts, idx[:, 1:]
 
 
-def _member_rows(r, s, kind, B):
-    """The nonzero lattice points of the cone in the r x B box, as an int64
-    array of flat rows (block after block), in box order: ascending
-    lexicographically."""
-    parts, idx = _member_indices(r, s, kind, B)
-    # the partitions are listed in ascending order, so the index tuples
-    # sorted lambda^1 first give the flat rows in ascending order
+def _box_rows(parts, idx):
+    """`_flat_rows` in box order, ascending: the partitions are listed in
+    ascending order, so the index tuples sorted lambda^1 first ascend too."""
     return _flat_rows(parts, idx[:, np.lexsort(idx[::-1])])
 
 
@@ -188,7 +176,8 @@ def lattice_points_bounded(r, s, kind, B):
     kind = normalize_kind(kind)
     if B < 0:
         raise ValueError(f"bound must be >= 0, got {B}")
-    return [unflatten(row, r) for row in _member_rows(r, s, kind, B).tolist()]
+    rows = _box_rows(*_member_indices(r, s, kind, B))
+    return [unflatten(row, r) for row in rows.tolist()]
 
 
 def _differences(parts):
@@ -284,7 +273,7 @@ def hilbert_basis_bounded(r, s, kind, B):
     if B < 1:
         raise ValueError(f"bound must be >= 1, got {B}")
     parts, idx = _member_indices(r, s, kind, B)
-    basis = sorted(map(tuple, _flat_rows(parts, _sieve(parts, idx)).tolist()))
+    basis = _box_rows(parts, _sieve(parts, idx)).tolist()
     return BoundedBasis(r, s, kind, B, tuple(unflatten(row, r) for row in basis))
 
 

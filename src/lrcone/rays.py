@@ -18,9 +18,9 @@ same steps on whole int64 arrays of flat points:
    divided by its gcd, and a lexsort on the columns dedups the rows and
    sorts them in the order `flatten` sorts points.
 3. Tight sets. One exact integer product of the pool with the form
-   matrix (`cones.exact_operands`) gives every form value, a block of
-   rows at a time. A negative value raises, as `certify` does. The forms
-   tight at each row, T(p), are kept as packed bits.
+   matrix (`InequalitySystem.value_blocks`) gives every form value, a
+   block of rows at a time. A negative value raises, as `certify` does.
+   The forms tight at each row, T(p), are kept as packed bits.
 4. Rejection, then proof. A row with |T(p)| < rs - 1 cannot have tight
    rank rs - 1. A row whose T(p) lies inside T(q) for another row q is not
    extremal either, by this lemma: let p and q be distinct primitive
@@ -50,7 +50,6 @@ import numpy as np
 
 from .partitions import coef_of_subsets, omega, weight
 from .cones import (
-    VALUES_BLOCK_BYTES,
     HornDatum,
     all_horn_data,
     check_point,
@@ -407,23 +406,19 @@ def _tight_sets(pool, system):
     """The forms tight at each row of `pool`, as packed bits (uint64 words;
     form k is bit 7 - k % 8 of byte k // 8), and their number.
 
-    The pool is evaluated VALUES_BLOCK_BYTES of form values at a time.
-    ValueError if a row lies outside the cone."""
-    rows, forms = exact_operands(pool, system.int_rows.T)
-    bits = np.zeros((len(pool), 8 * -(-forms.shape[1] // 64)), dtype=np.uint8)
+    Read from `system.value_blocks`. ValueError if a row lies outside the cone."""
+    bits = np.zeros((len(pool), 8 * -(-len(system.forms) // 64)), dtype=np.uint8)
     sizes = np.zeros(len(pool), dtype=np.int64)
-    step = max(1, VALUES_BLOCK_BYTES // (8 * forms.shape[1]))
-    for at in range(0, len(pool), step):
-        vals = rows[at:at + step] @ forms
+    for at, vals in system.value_blocks(pool):
         outside = (vals < 0).any(axis=1)
         if outside.any():
             row = pool[at + outside.argmax()].tolist()
             raise ValueError(f"{format_point(unflatten(row, system.r))} "
                              f"is not in {system.kind}")
         tight = vals == 0
-        sizes[at:at + step] = tight.sum(axis=1)
+        sizes[at:at + len(vals)] = tight.sum(axis=1)
         packed = np.packbits(tight, axis=1)
-        bits[at:at + step, :packed.shape[1]] = packed
+        bits[at:at + len(vals), :packed.shape[1]] = packed
     return bits.view(np.uint64), sizes
 
 
@@ -494,17 +489,16 @@ def _extremal(pool, r, s, kind):
     and a row it passes is extremal when the Gram matrix of its tight forms
     has rank rs - 1 mod p or, failing that, by `exact_rank` (step 4 of the
     module docstring). The ranks mod p are taken on a stack of Gram
-    matrices, VALUES_BLOCK_BYTES of tight masks (8 bytes per form, as the
-    product takes them) at a time. Beside the block the product holds the
-    system's pair table, m x (rs)^2 entries as int64 (cached with the
+    matrices, `system.block_rows` at a time (their tight masks take 8 bytes
+    a form, as a block of values does). Beside the block the product holds
+    the system's pair table, m x (rs)^2 entries as int64 (cached with the
     system) and once more as float64: 7.3 MB each at r = 7, s = 3."""
     system = inequality_system(r, s, kind)
     bits, sizes = _tight_sets(pool, system)
     extremal = np.zeros(len(pool), dtype=bool)
     rows = np.fromiter(_maximal(bits, sizes, r * s - 1), dtype=np.intp)
-    step = max(1, VALUES_BLOCK_BYTES // (8 * len(system.forms)))
-    for at in range(0, len(rows), step):
-        block = rows[at:at + step]
+    for at in range(0, len(rows), system.block_rows):
+        block = rows[at:at + system.block_rows]
         grams = _grams(bits[block], system)
         ranks = _ranks_mod_p(grams)
         for i in np.flatnonzero(ranks < r * s - 1):

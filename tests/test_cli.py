@@ -120,6 +120,9 @@ ROW12 = ",".join(["1"] * 12)
 @pytest.mark.parametrize("argv, suggests_extended", [
     (["rays", "--r", "8"], True),
     (["rays", "--r", "10", "--extended"], False),
+    # r = 9 is over the --extended ceiling too: unmeasured, and projected
+    # to need about 14 GB
+    (["rays", "--r", "9", "--extended"], False),
     (["facet", "--r", "8", *FACET], True),  # enumerates the rays at r-d = 7
     (["facet", "--r", "11", *FACET, "--extended"], False),
     (["hilbert", "--r", "6", "--bound", "1"], True),
@@ -152,7 +155,7 @@ ROW12 = ",".join(["1"] * 12)
     (["member", "--point", "1/0,0;0,0;0,0"], False),
     (["sample", "--spectra", ";".join([ROW12] * 2)], False),
     (["rays", "--r", "6", "--s", "5"], False),
-    (["rays", "--r", "9", "--s", "8", "--extended"], False),
+    (["rays", "--r", "8", "--s", "8", "--extended"], False),
     # options that did nothing are argparse errors now
     (["horn", "--r", "2", "--d", "1", "--threads", "2"], False),
     (["horn", "--r", "2", "--d", "1", "--extended"], False),
@@ -170,8 +173,8 @@ def test_refused_at_once(capsys, argv, suggests_extended):
 
 
 def test_tables_hilbert_counts_refused_before_any_search(capsys, monkeypatch):
-    # with a 20 MB budget rows r <= 3 fit (about 9 MB each) and r = 4, with
-    # bound 4, does not (about 34 MB): every row's budget is checked before
+    # with a 20 MB budget rows r <= 3 fit (about 10 MB each) and r = 4, with
+    # bound 4, does not (about 35 MB): every row's budget is checked before
     # the first search starts, and as soon as its rays are known, so the
     # rays of row 5 are never enumerated
     def search(*args, **kwargs):

@@ -257,24 +257,39 @@ def count_mask_rows(monkeypatch):
                                      (2, 4, 3), (3, 4, 2)])
 def test_member_rows_match_full_product(monkeypatch, r, s, B, kind, chunk_bytes):
     expected = full_product_rows(r, s, kind, B)
-    # 5000 bytes is a few rows per chunk, so chunks end inside the block of
-    # one nu and span the blocks of several
+    # 5000 bytes is a few dozen rows per chunk, so the blocks of the larger
+    # nu are cut into several chunks
     monkeypatch.setattr(hilbert, "MASK_CHUNK_BYTES", chunk_bytes)
     sizes = count_mask_rows(monkeypatch)
-    assert np.array_equal(hilbert._member_rows(r, s, kind, B), expected)
-    chunk = hilbert._chunk_rows(r, s, kind)
-    assert all(n == chunk for n in sizes[:-1]) and 0 < sizes[-1] <= chunk
+    members = hilbert._box_rows(*hilbert._member_indices(r, s, kind, B))
+    assert np.array_equal(members, expected)
+    # the candidates of each nu: k(nu)^(s-1) tuples, k(nu) the box partitions
+    # contained in nu (EqLR) or all of them (LR); each block is cut into
+    # chunks of at most _chunk_rows, and no chunk spans two nu
+    parts = np.array(partitions_in_box(r, B), dtype=np.int64)
+    counts = (parts[:, None] <= parts[None]).all(axis=2).sum(axis=0)
+    if kind == "LR":
+        counts[:] = len(parts)
+    blocks = (counts ** (s - 1)).tolist()
+    chunk = hilbert._chunk_rows(r, s)
+    assert max(sizes) <= chunk
+    assert sizes == [min(chunk, n - at) for n in blocks for at in range(0, n, chunk)]
+    if chunk_bytes == 5000 and (r, s, B) == (3, 3, 3):
+        # 20 rows a chunk, and nu = (3, 3, 3) has a block of 20^2 rows
+        assert chunk == 20 and len(sizes) > len(blocks)
 
 
 def test_member_mask_holds_a_slice_of_values():
-    # one full chunk at (6,3,B=2): 1,721 rows under 552 forms; a values
-    # block for all forms at once would take 7.6 MB of the 8 MiB chunk
+    # one full chunk at (6,3,B=4), where the largest block, of nu =
+    # (4, ..., 4), has 210^2 = 44,100 rows: 18,396 rows under 552 forms,
+    # whose values under every form at once would take 81 MB
     r, s, kind = 6, 3, "EqLR"
-    parts = np.array(partitions_in_box(r, 2), dtype=np.int64)
-    size = hilbert._chunk_rows(r, s, kind)
-    chunk = next(hilbert._candidates(parts, s, True, size))
+    parts = np.array(partitions_in_box(r, 4), dtype=np.int64)
+    size = hilbert._chunk_rows(r, s)
+    chunk = next(c for c in hilbert._candidates(parts, s, True, size)
+                 if c.shape[1] == size)
     flat = np.concatenate([parts[i] for i in chunk], axis=1)
-    assert len(flat) == size == 1721
+    assert len(flat) == size == 18396
     expected = hilbert._member_mask(flat, r, s, kind)  # caches the form matrix
     tracemalloc.start()
     try:
@@ -283,6 +298,8 @@ def test_member_mask_holds_a_slice_of_values():
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, expected)
+    # one block of values (1 MiB) with its comparison and the float64 copy
+    # of its rows: not two blocks at once, nor a float64 copy of the chunk
     assert peak < hilbert.MASK_CHUNK_BYTES // 4
 
 
@@ -292,7 +309,7 @@ def test_candidate_count(monkeypatch, kind, candidates):
     # has no containment forms, so each lambda^j ranges over all 56 box
     # partitions
     sizes = count_mask_rows(monkeypatch)
-    hilbert._member_rows(5, 3, kind, 3)
+    hilbert._member_indices(5, 3, kind, 3)
     assert sum(sizes) == candidates
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrcone import rays
+from lrcone import cones, rays
 from lrcone.cli import main
 from lrcone.cones import (
     HornDatum,
@@ -661,6 +661,27 @@ def test_tight_sets_beyond_int64():
         assert frozenset(np.flatnonzero(tight).tolist()) == expected
         assert n == len(expected)
     assert rays._extremal(pool, 3, 3, "EqLR").tolist() == [True, False]
+
+
+def test_value_blocks_of_one_row(monkeypatch):
+    # with one row a block, each row is read from its own block, at the
+    # offset that value_blocks yields
+    system = inequality_system(3, 3, "EqLR")
+    pool = rays._candidate_pool(3, 3, "EqLR")
+    expected_bits, expected_sizes = rays._tight_sets(pool, system)
+    box = np.indices((2,) * 9).reshape(9, -1).T
+    monkeypatch.setattr(cones, "VALUES_BLOCK_BYTES", 1)
+    assert system.block_rows == 1
+    expected = [system.is_member(unflatten(row, 3)) for row in box.tolist()]
+    assert system.members(box).tolist() == expected
+    assert any(expected) and not all(expected)
+    bits, sizes = rays._tight_sets(pool, system)
+    assert np.array_equal(bits, expected_bits)
+    assert np.array_equal(sizes, expected_sizes)
+    # 1,1,1;0,0,0;1,1,0 breaks containment; rows 0-2 are in the cone
+    outside = np.insert(pool[:5], 3, [1, 1, 1, 0, 0, 0, 1, 1, 0], axis=0)
+    with pytest.raises(ValueError, match="^1,1,1;0,0,0;1,1,0 is not in EqLR$"):
+        rays._tight_sets(outside, system)
 
 
 def test_pipeline_refuses_a_point_outside_the_cone():
