@@ -35,12 +35,13 @@ from .oracle import sample_spectrum_sum
 # ceilings, each as (default, with --extended). Ray enumeration recurses
 # over every Horn facet (data over s-1 subsets) and the Hilbert search tests
 # up to C(r+B, r)^s candidate tuples (fewer under containment), so cost
-# climbs steeply with r and s. The rays ceilings (`facet` is held to them)
-# stop at the largest r measured, 8 (151 s, 1.25 GB). `tables --which
-# hilbert-counts` runs a Hilbert search per row, with the bound its rays
-# call for: r = 6 needs B = 5, over the budget, so its r stays at 5.
+# climbs steeply with r and s. The rays ceilings (`facet` and `tables
+# --which ray-counts` are held to them) stop at the largest r measured, 8
+# (151 s, 1.25 GB). `tables --which hilbert-counts` runs a Hilbert search per
+# row, with the bound its rays call for: r = 6 needs B = 5, over the budget,
+# so its r stays at 5. The library refuses a Horn work over its ceiling.
 CEILINGS = {"rays": ((6, 8), (5, 8)), "hilbert": ((5, 7), (5, 8)),
-            "tables": ((6, 8), (5, 8)), "hilbert-counts": ((5, 5), (5, 8))}
+            "hilbert-counts": ((5, 5), (5, 8))}
 
 
 def _emit(args, params, result, lines):
@@ -58,29 +59,20 @@ def _emit(args, params, result, lines):
         print(out)
 
 
-def _check_ceilings(args, table, r, s, what=None, ds=None):
-    """Refuse, before any work, an r or an s above the ceilings of `table`
-    (`what`, a (name, value) pair, is held to the r ceiling in place of r),
-    then, over every 0 < d < r or the d in `ds`, a Horn work above the
-    library's ceiling (`check_horn_work`), which --extended does not lift."""
-    held, held_value = what or ("r", r)
-    for name, value, (default, extended) in zip((held, "s"), (held_value, s),
-                                                  CEILINGS.get(table, ())):
+def _check_ceilings(args, table, held, s):
+    """Refuse, before any work, an r or an s above the ceilings of `table`;
+    `held`, a (name, value) pair, is the value held to the r ceiling."""
+    for (name, value), (default, extended) in zip((held, ("s", s)),
+                                                  CEILINGS[table]):
         ceiling = extended if args.extended else default
         if value > ceiling:
             hint = (f"; pass --extended to lift it to {extended}"
                     if value <= extended else "")
             raise ValueError(
                 f"{name}={value} exceeds the {table} ceiling {ceiling}{hint}")
-    check_horn_work(r, s, ds)
 
 
 def cmd_horn(args):
-    if args.r < 2:
-        raise ValueError(f"no valid d at r={args.r}: need 1 <= d < r")
-    if not 1 <= args.d < args.r:
-        raise ValueError(f"d={args.d} out of range: need 1 <= d < r={args.r}")
-    _check_ceilings(args, None, args.r, args.s, ds=(args.d,))
     data = enumerate_horn(args.r, args.s, args.d)
     _emit(args, {"r": args.r, "s": args.s, "d": args.d},
           {"count": len(data),
@@ -90,7 +82,7 @@ def cmd_horn(args):
 
 def cmd_rays(args):
     kind = normalize_kind(args.kind)
-    _check_ceilings(args, "rays", args.r, args.s)
+    _check_ceilings(args, "rays", ("r", args.r), args.s)
     rays = enumerate_rays(args.r, args.s, kind)
     _emit(args, {"r": args.r, "s": args.s, "kind": kind},
           rayset_json(args.r, args.s, kind, rays),
@@ -103,9 +95,8 @@ def _parse_facet(args):
     d = len(K)
     if len(Is) != args.s - 1:
         raise ValueError(f"expected {args.s - 1} subsets in --I, got {len(Is)}")
-    _check_ceilings(args, "rays", args.r, args.s,
-                    ("max(d, r-d)", max(d, args.r - d)))
-    return HornDatum(args.r, args.s, d, Is, K).check()
+    _check_ceilings(args, "rays", ("max(d, r-d)", max(d, args.r - d)), args.s)
+    return HornDatum(args.r, args.s, d, Is, K)
 
 
 def cmd_facet(args):
@@ -135,7 +126,6 @@ def cmd_member(args):
         x = parse_point(args.point)
     except ValueError as exc:
         raise ValueError(f"bad point {args.point!r}: {exc}")
-    _check_ceilings(args, None, len(x[0]), len(x))
     verdict = member(x, kind)
     _emit(args, {"point": args.point, "kind": kind}, {"member": verdict},
           ["true" if verdict else "false"])
@@ -143,7 +133,7 @@ def cmd_member(args):
 
 def cmd_hilbert(args):
     kind = normalize_kind(args.kind)
-    _check_ceilings(args, "hilbert", args.r, args.s)
+    _check_ceilings(args, "hilbert", ("r", args.r), args.s)
     basis = hilbert_basis_bounded(args.r, args.s, kind, args.bound)
     lines = [f"# {len(basis.points)} indecomposable points of "
              f"{kind}_{args.r}^{args.s} with bound {args.bound}"]
@@ -154,8 +144,11 @@ def cmd_hilbert(args):
 
 def cmd_tables(args):
     counts = args.which == "hilbert-counts"
-    _check_ceilings(args, "hilbert-counts" if counts else "tables", args.max_r, args.s,
-                    ("--max-r", args.max_r))
+    _check_ceilings(args, "hilbert-counts" if counts else "rays",
+                    ("--max-r", args.max_r), args.s)
+    # each row's library calls check the Horn work of that row only, and the
+    # rows run in ascending r: the last row is checked before the first runs
+    check_horn_work(args.max_r, args.s)
     eqs, bounds = {}, {}
     for r in range(1, args.max_r + 1):
         eqs[r] = enumerate_rays(r, args.s, "EqLR")
@@ -182,7 +175,6 @@ def cmd_tables(args):
 def cmd_sample(args):
     spectra = [tuple(float(v) for v in block.split(","))
                for block in args.spectra.split(";")]
-    _check_ceilings(args, None, len(spectra[0]), len(spectra) + 1)
     samples = sample_spectrum_sum(spectra, args.mode, args.trials, args.seed)
     _emit(args, None, None, [json.dumps(x.to_json()) for x in samples])
 

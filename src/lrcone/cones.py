@@ -20,7 +20,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -155,9 +155,9 @@ class HornDatum:
 
 
 # Horn enumeration at (r, s) expands C(r, d)^(s-1) subset tuples for each d.
-# More than this many is refused before any is expanded: for one d by
-# `enumerate_horn`, over every d by `inequality_system`. (r, s) = (9, 3)
-# expands 48,618 over every d, in about 3 s.
+# More than this many is refused before any work: over its own d by
+# `enumerate_horn`, over every d by each other entry point that needs Horn
+# data. (r, s) = (9, 3) expands 48,618 over every d, in about 3 s.
 HORN_WORK = 10**5
 
 
@@ -165,10 +165,10 @@ def check_horn_work(r, s, ds=None):
     """Raise ValueError if Horn enumeration at (r, s), over every 0 < d < r
     or the d in `ds`, would expand more than HORN_WORK subset tuples."""
     # each C(r, d)^(s-1) is at least r and 2^(s-1), so past either bound the
-    # sum is over the ceiling and is not computed
+    # sum is over the ceiling; otherwise it stops once a partial sum passes it
+    terms = (math.comb(r, d) ** (s - 1) for d in ds or range(1, r))
     if r >= 2 and s >= 3 and (r > HORN_WORK or s > HORN_WORK.bit_length()
-                              or sum(math.comb(r, d) ** (s - 1)
-                                     for d in ds or range(1, r)) > HORN_WORK):
+                              or any(w > HORN_WORK for w in accumulate(terms))):
         raise ValueError(f"r={r}, s={s} exceeds the Horn work ceiling: "
                          f"more than {HORN_WORK} subset tuples")
 
@@ -230,12 +230,6 @@ def exact_dtype(a, b):
     so one dtype serves a product taken slice by slice."""
     bound = a.shape[1] * _max_abs(a) * _max_abs(b)
     return np.float64 if bound < 2**53 else object
-
-
-def exact_operands(a, b):
-    """a and b, integer arrays, cast to `exact_dtype(a, b)`."""
-    dtype = exact_dtype(a, b)
-    return a.astype(dtype), b.astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +299,10 @@ class InequalitySystem:
     @cached_property
     def pair_rows(self):
         """Row i holds the products of form i's coefficient pairs, the
-        (rs)^2 entries of its outer product as int64: the Gram matrix of a
-        set of forms is the sum of their rows."""
-        forms = self.int_rows
+        (rs)^2 entries of its outer product: the Gram matrix of a set of
+        forms is the sum of their rows. They are 0 or +-1, so any such sum is
+        at most m in absolute value and exact in float64, their dtype."""
+        forms = self.int_rows.astype(np.float64)
         m, n = forms.shape
         return (forms[:, :, None] * forms[:, None, :]).reshape(m, n * n)
 

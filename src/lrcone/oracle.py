@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import inequality_system
+from .cones import check_horn_work, inequality_system
 
 
 class LinealityError(ValueError):
@@ -146,7 +146,7 @@ PERTURBATION_SCALE = 0.5  # majorized mode subtracts this times g g* / r
 def sample_spectrum_sum(spectra, mode, trials, seed):
     """Conjugate diagonal matrices by random unitaries, sum, and (in
     majorized mode) subtract a random PSD perturbation; deterministic
-    under a fixed seed."""
+    under a fixed seed. A Horn work over its ceiling is refused first."""
     if mode not in ("equal", "majorized"):
         raise ValueError(f"mode must be 'equal' or 'majorized', got {mode!r}")
     if trials < 1:
@@ -161,6 +161,7 @@ def sample_spectrum_sum(spectra, mode, trials, seed):
             raise ValueError(f"spectrum {vec} has an entry that is not finite")
         if any(a < b - 1e-12 for a, b in zip(vec, vec[1:])):
             raise ValueError(f"spectrum {vec} is not weakly decreasing")
+    check_horn_work(r, len(spectra) + 1)
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(trials):

@@ -52,8 +52,9 @@ from .partitions import coef_of_subsets, omega, weight
 from .cones import (
     HornDatum,
     all_horn_data,
+    check_horn_work,
     check_point,
-    exact_operands,
+    exact_dtype,
     flatten,
     format_point,
     horn_slack,
@@ -376,8 +377,9 @@ def _smaller_rays(d, r, s, kind):
 def _facet_images(h, rows):
     """The induction images of the rows of `_smaller_rays`, as int64 rows
     (OverflowError if an entry does not fit)."""
-    images = np.matmul(*exact_operands(rows, _induction_matrix(h).T))
-    return images.astype(np.int64, copy=False)
+    induce = _induction_matrix(h).T
+    dtype = exact_dtype(rows, induce)
+    return (rows.astype(dtype) @ induce.astype(dtype)).astype(np.int64, copy=False)
 
 
 def _primitive_rows(rows):
@@ -473,12 +475,12 @@ def _ranks_mod_p(mats):
 
 def _grams(bits, system):
     """The Gram matrix A^T A of the forms A tight at each packed tight set
-    in `bits`, as a (k, n, n) int64 stack: the tight mask times the
-    products of every form's coefficient pairs (`system.pair_rows`)."""
+    in `bits`, as a (k, n, n) int64 stack: the tight mask times the form
+    coefficient pair products (`system.pair_rows`), exact in float64."""
     m, n = system.int_rows.shape
     tight = np.unpackbits(bits.view(np.uint8), axis=1, count=m)
-    gram = np.matmul(*exact_operands(tight, system.pair_rows))
-    return gram.astype(np.int64, copy=False).reshape(-1, n, n)
+    gram = tight.astype(np.float64) @ system.pair_rows
+    return gram.astype(np.int64).reshape(-1, n, n)
 
 
 def _extremal(pool, r, s, kind):
@@ -491,8 +493,8 @@ def _extremal(pool, r, s, kind):
     module docstring). The ranks mod p are taken on a stack of Gram
     matrices, `system.block_rows` at a time (their tight masks take 8 bytes
     a form, as a block of values does). Beside the block the product holds
-    the system's pair table, m x (rs)^2 entries as int64 (cached with the
-    system) and once more as float64: 7.3 MB each at r = 7, s = 3."""
+    the system's pair table, m x (rs)^2 float64 entries cached with the
+    system: 7.3 MB at r = 7, s = 3."""
     system = inequality_system(r, s, kind)
     bits, sizes = _tight_sets(pool, system)
     extremal = np.zeros(len(pool), dtype=bool)
@@ -524,10 +526,13 @@ class FacetDecomposition:
 def facet_rays(h, kind):
     """Run the facet algorithm: type I rays plus extremality-filtered
     induction images of the product of the two smaller cones, each list in
-    the order of the images."""
+    the order of the images. A Horn work over its ceiling, or an h that is
+    not a Horn datum, is refused first."""
     kind = normalize_kind(kind)
     if kind not in ("LR", "EqLR"):
         raise ValueError("facet decomposition applies to LR and EqLR only")
+    check_horn_work(h.r, h.s)
+    h.check()
     images = _facet_images(h, _smaller_rays(h.d, h.r, h.s, kind))
     nonzero = _primitive_rows(images)
     pool, first, where = _unique_rows(nonzero)
@@ -599,13 +604,14 @@ def enumerate_rays(r, s, kind):
 
     LR and EqLR go through the pipeline in the module docstring: the pool
     of `_candidate_pool`, then `_extremal`. CSL keeps the LR rays that are
-    members of CSL.
+    members of CSL. A Horn work over its ceiling is refused before all else.
     """
     kind = normalize_kind(kind)
     if kind not in ("CSL", "LR", "EqLR"):
         raise ValueError(f"{kind} is not pointed; its extremal rays are not well-defined")
     if r < 1 or s < 3:
         raise ValueError(f"need r >= 1 and s >= 3, got r={r}, s={s}")
+    check_horn_work(r, s)
     key = (r, s, kind)
     if key in _RAY_MEMO:
         return _RAY_MEMO[key]

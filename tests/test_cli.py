@@ -115,6 +115,7 @@ def test_rays_ceiling_requires_extended(capsys):
 
 FACET = ["--I", "{1};{1}", "--K", "{1}"]
 ROW12 = ",".join(["1"] * 12)
+ROW20K = ",".join(["0"] * 20000)
 
 
 @pytest.mark.parametrize("argv, suggests_extended", [
@@ -154,6 +155,11 @@ ROW12 = ",".join(["1"] * 12)
     (["member", "--point", ";".join([ROW12] * 3)], False),
     (["member", "--point", "1/0,0;0,0;0,0"], False),
     (["sample", "--spectra", ";".join([ROW12] * 2)], False),
+    # the check itself stops after its first term
+    pytest.param(["member", "--point", ";".join([ROW20K] * 3)], False,
+                 id="member --point r=20000"),
+    pytest.param(["sample", "--spectra", ";".join([ROW20K] * 2)], False,
+                 id="sample --spectra r=20000"),
     (["rays", "--r", "6", "--s", "5"], False),
     (["rays", "--r", "8", "--s", "8", "--extended"], False),
     # options that did nothing are argparse errors now

@@ -64,6 +64,28 @@ def test_horn_work_refused_before_expanding(monkeypatch):
         member(((1,) * 12,) * 3, "EqLR")
 
 
+@pytest.mark.parametrize("r", [20000, 99999])
+def test_horn_work_stops_at_the_first_sum_over_the_ceiling(monkeypatch, r):
+    # C(r, 1)^2 alone is over the ceiling, and the other terms are huge
+    calls, comb_exact = [], cones.math.comb
+
+    def comb(n, k):
+        calls.append(k)
+        return comb_exact(n, k)
+    monkeypatch.setattr(cones.math, "comb", comb)
+    with pytest.raises(ValueError, match="Horn work"):
+        cones.check_horn_work(r, 3)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r, s", [(r, s) for r in range(1, 6) for s in (3, 4)])
+def test_forms_are_zero_or_unit(r, s, kind):
+    # the float64 pair table of the Gram matrices relies on it
+    system = inequality_system(r, s, kind)
+    assert set(np.unique(system.int_rows).tolist()) <= {-1, 0, 1}
+
+
 def test_enumerate_horn_matches_brute_force():
     from itertools import combinations
     from lrcone.partitions import coef_of_subsets

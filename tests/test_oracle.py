@@ -2,6 +2,7 @@
 
 import pytest
 
+from lrcone import oracle
 from lrcone.cones import inequality_system, parse_point
 from lrcone.oracle import (
     LinealityError,
@@ -94,6 +95,14 @@ def test_sampler_input_validation():
         sample_spectrum_sum([(1.0, 0.0)], "sideways", 1, seed=0)
     with pytest.raises(ValueError):
         sample_spectrum_sum([(1.0, 0.0)], "equal", 0, seed=0)
+
+
+def test_sampler_refuses_horn_work_first(monkeypatch):
+    def unitary(*args):
+        raise AssertionError("a trial began before the Horn work check")
+    monkeypatch.setattr(oracle, "_random_unitary", unitary)
+    with pytest.raises(ValueError, match="Horn work"):
+        sample_spectrum_sum([(0.0,) * 20000] * 2, "equal", 1, 0)
 
 
 def test_sampler_refuses_spectra_of_unequal_length():

@@ -14,7 +14,7 @@ from lrcone.cones import (
     HornDatum,
     all_horn_data,
     enumerate_horn,
-    exact_operands,
+    exact_dtype,
     flatten,
     horn_slack,
     inequality_system,
@@ -184,8 +184,9 @@ def test_ranks_mod_p_hand_cases(mat, mod_p, over_q):
 ])
 def test_int_product_is_exact_at_the_float64_bound(a, b):
     a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    assert np.matmul(*exact_operands(a, b)).tolist() == (a.astype(object)
-                                                         @ b.astype(object)).tolist()
+    dtype = exact_dtype(a, b)
+    assert (a.astype(dtype) @ b.astype(dtype)).tolist() == (a.astype(object)
+                                                            @ b.astype(object)).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -432,6 +433,36 @@ def test_diagonal_no_facet_check():
 def test_enumerate_rays_ceiling():
     with pytest.raises(ValueError):
         enumerate_rays(3, 3, "EqC")
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work began before the Horn work check")
+
+
+@pytest.mark.parametrize("r, s", [(8, 8), (3, 30)])
+def test_enumerate_rays_refuses_horn_work_first(monkeypatch, r, s):
+    # the omega-tuples come first in a cold run: at (8, 8) they are drawn
+    # from about 8 million tuples of k's
+    monkeypatch.setattr(rays, "special_rays", refuse)
+    with pytest.raises(ValueError, match="Horn work"):
+        enumerate_rays(r, s, "EqLR")
+
+
+def test_facet_rays_refuses_horn_work_first(monkeypatch):
+    # W(10, 4) = 38,165,258; the (5, 4) cones of this d = 5 datum would
+    # be enumerated before the system at (10, 4) is built
+    low = tuple(range(1, 6))
+    h = HornDatum(10, 4, 5, (low,) * 3, low).check()
+    monkeypatch.setattr(rays, "_smaller_rays", refuse)
+    with pytest.raises(ValueError, match="Horn work"):
+        facet_rays(h, "EqLR")
+
+
+def test_facet_rays_refuses_a_datum_that_is_not_horn():
+    # tau({1}) = (0) and tau({3}) = (2), and c^{(2)}_{(0),(0)} = 0
+    h = HornDatum(3, 3, 1, ((1,), (1,)), (3,))
+    with pytest.raises(ValueError, match="structure coefficient"):
+        facet_rays(h, "EqLR")
 
 
 def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
