@@ -165,9 +165,15 @@ def check_horn_work(r, s, ds=None):
     """Raise ValueError if Horn enumeration at (r, s), over every 0 < d < r
     or the d in `ds`, would expand more than HORN_WORK subset tuples."""
     # each C(r, d)^(s-1) is at least r and 2^(s-1), so past either bound the
-    # sum is over the ceiling; otherwise it stops once a partial sum passes it
-    terms = (math.comb(r, d) ** (s - 1) for d in ds or range(1, r))
-    if r >= 2 and s >= 3 and (r > HORN_WORK or s > HORN_WORK.bit_length()
+    # sum is over the ceiling; otherwise it stops once a partial sum passes
+    # it. A term is at least its base C(r, d), so a base over the ceiling
+    # stands for its term, unraised. The base is at least C(r, k) >= 2^k for
+    # each k <= min(d, r - d): with k capped at the ceiling's bit length it
+    # is exact while it is within the ceiling, and small to compute past it.
+    cap = HORN_WORK.bit_length()
+    bases = (math.comb(r, min(d, r - d, cap)) for d in ds or range(1, r))
+    terms = (c if c > HORN_WORK else c ** (s - 1) for c in bases)
+    if r >= 2 and s >= 3 and (r > HORN_WORK or s > cap
                               or any(w > HORN_WORK for w in accumulate(terms))):
         raise ValueError(f"r={r}, s={s} exceeds the Horn work ceiling: "
                          f"more than {HORN_WORK} subset tuples")

@@ -36,14 +36,15 @@ group is tried. Flat rows are built for the basis only.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 
 import numpy as np
 
-from .partitions import partitions_in_box, subpartitions, weight
+from .partitions import partitions_in_box, subpartitions
 from .cones import (
     VALUES_BLOCK_BYTES,
     check_point,
+    exact_dtype,
     flatten,
     inequality_system,
     int_point,
@@ -277,14 +278,38 @@ def hilbert_basis_bounded(r, s, kind, B):
     return BoundedBasis(r, s, kind, B, tuple(unflatten(row, r) for row in basis))
 
 
+# bounded, so that a long-lived process asking about many points does not
+# grow without end
+@lru_cache(maxsize=2**12)
+def _split_choices(block):
+    """The partitions mu <= block with block - mu a partition, in the order
+    of `subpartitions`, as a read-only int64 array of rows, and their weights
+    (read-only too: the arrays are shared through the cache)."""
+    parts = np.array(subpartitions(block), dtype=np.int64).reshape(-1, len(block))
+    rest = np.array(block, dtype=np.int64) - parts
+    choices = parts[(rest[:, :-1] >= rest[:, 1:]).all(axis=1)]
+    weights = choices.sum(axis=1)
+    choices.flags.writeable = weights.flags.writeable = False
+    return choices, weights
+
+
 def decomposition_witness(x, kind):
     """A pair (y, x-y) of nonzero members summing to x, or None.
 
     Exhaustive over componentwise-dominated partition tuples y with
     0 < |y| <= |x|/2, in lexicographic order of the block choices; both
     halves of a decomposition are forced to be dominated by x since all
-    entries are nonnegative. The forms are linear, so their values at x - y
-    are their values at x minus those at y.
+    entries are nonnegative. Block j of y ranges over the partitions mu <=
+    x_j with x_j - mu a partition (`_split_choices`, cached per block).
+
+    The product of the block choices is read in chunks of
+    `system.block_rows` rows, by mixed-radix index in the order of
+    `itertools.product`, and never built whole: each chunk is one exact
+    integer product with the forms in the `exact_dtype` of x, so the search
+    holds one value block of candidate rows at a time. The forms are
+    linear, so their values at x - y are their values at x minus those at
+    y. The first chunk with a witness ends the search, and its first
+    witness is returned: the first y in search order.
 
     Only for the pointed kinds LR, EqLR and CSL: in C and EqC every point
     splits along the lines of the cone, so ValueError is raised for them,
@@ -296,23 +321,33 @@ def decomposition_witness(x, kind):
     if point is None:
         raise ValueError(f"not a lattice point: {x}")
     x = point
-    if not any(flatten(x)):
+    flat = flatten(x)
+    if not any(flat):
         raise ValueError("the zero point is not a semigroup element")
-    system = inequality_system(len(x[0]), len(x), kind)
-    vx = system.values(x)
+    r = len(x[0])
+    system = inequality_system(r, len(x), kind)
+    # x as int64, or as Python ints past int64; every candidate lies
+    # between 0 and x entrywise, so the bound of x covers each chunk too
+    row = np.array([flat])
+    dtype = exact_dtype(row, system.int_rows.T)
+    forms = system.int_rows.T.astype(dtype)
+    vx = (row.astype(dtype) @ forms)[0]
     if not system.holds(vx):
         raise ValueError("not a lattice point of the semigroup")
-    half = sum(flatten(x)) / 2
-    block_choices = [
-        [mu for mu in subpartitions(block)
-         if all(a - b >= c - d for (a, b), (c, d)
-                in zip(zip(block, mu), zip(block[1:], mu[1:])))]
-        for block in x]
-    for y in product(*block_choices):
-        if not 0 < sum(map(weight, y)) <= half:
-            continue
-        vy = system.values(y)
-        if system.holds(vy) and system.holds(vx - vy):
+    total = sum(flat)
+    choices, weights = zip(*map(_split_choices, x))
+    sizes = tuple(map(len, choices))
+    count = math.prod(sizes)
+    for at in range(0, count, system.block_rows):
+        idx = np.unravel_index(np.arange(at, min(at + system.block_rows, count)), sizes)
+        w = sum(wj[i] for wj, i in zip(weights, idx))
+        keep = (w > 0) & (2 * w <= total)
+        y = np.concatenate([cj[i[keep]] for cj, i in zip(choices, idx)], axis=1)
+        vy = y.astype(dtype) @ forms
+        # y is a member, and so is x - y: vx - vy >= 0
+        found = ((vy >= 0) & (vy <= vx)).all(axis=1)
+        if found.any():
+            y = unflatten(y[found.argmax()].tolist(), r)
             return (y, point_sub(x, y))
     return None
 

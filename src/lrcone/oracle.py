@@ -146,12 +146,16 @@ PERTURBATION_SCALE = 0.5  # majorized mode subtracts this times g g* / r
 def sample_spectrum_sum(spectra, mode, trials, seed):
     """Conjugate diagonal matrices by random unitaries, sum, and (in
     majorized mode) subtract a random PSD perturbation; deterministic
-    under a fixed seed. A Horn work over its ceiling is refused first."""
+    under a fixed seed. Fewer than two spectra, and a Horn work over its
+    ceiling, are refused before the first trial."""
     if mode not in ("equal", "majorized"):
         raise ValueError(f"mode must be 'equal' or 'majorized', got {mode!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spectra = tuple(tuple(float(v) for v in vec) for vec in spectra)
+    # the cone systems need s = len(spectra) + 1 >= 3
+    if len(spectra) < 2:
+        raise ValueError(f"need at least two spectra, got {len(spectra)}")
     r = len(spectra[0])
     for vec in spectra:
         if len(vec) != r:

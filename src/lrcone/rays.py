@@ -8,8 +8,9 @@ with two explicitly known special families, is filtered for extremality.
 The paper's maps are kept as single-point reference definitions: `pi`,
 `pi_inverse`, `p2_hat`, `ind_hat`, and the certificate `certify` /
 `is_extremal` (tight-form rank = r*s - 1, by fraction-free integer
-elimination in `exact_rank`). `enumerate_rays` and `facet_rays` run the
-same steps on whole int64 arrays of flat points:
+elimination in `exact_rank` on the Gram matrix of the tight forms, which
+has their rank, as step 4 shows). `enumerate_rays` and `facet_rays` run
+the same steps on whole int64 arrays of flat points:
 
 1. Images. `ind_hat` is linear, so on the facet of h it is one integer
    (rs x rs) matrix M_h (`_induction_matrix`, cached per datum). One
@@ -139,7 +140,15 @@ class Ray:
 
 
 def certify(x, kind):
-    """Extremality certificate for a nonzero member of the cone."""
+    """Extremality certificate for a nonzero member of the cone: its
+    primitive multiple and the rank of the forms A tight at x.
+
+    The rank is that of the Gram matrix G = A^T A (A^T A v = 0 gives
+    |Av|^2 = 0), which has rs rows however many forms are tight, and is
+    exact in int64: the coefficients are 0 or +-1, so each entry is at most
+    the number of forms. `exact_rank` decides it alone: a rank mod p in
+    front, as the pipeline's stacks have (step 4 of the module docstring),
+    costs more than it saves on one matrix."""
     x = check_point(x)
     r, s = len(x[0]), len(x)
     kind = normalize_kind(kind)
@@ -150,7 +159,8 @@ def certify(x, kind):
     if not sys.holds(vals):
         raise ValueError(f"{format_point(x)} is not in {kind}")
     # the forms tight at x: both rows of each equality, since x is a member
-    rank = exact_rank(sys.coeffs[vals == 0].tolist())
+    tight = sys.int_rows[vals == 0]
+    rank = exact_rank((tight.T @ tight).tolist())
     p = primitive(x)
     return Ray(p, p == x, rank)
 

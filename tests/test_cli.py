@@ -152,9 +152,12 @@ ROW20K = ",".join(["0"] * 20000)
     (["horn", "--r", "7", "--d", "3", "--s", "5"], False),
     (["horn", "--r", "12", "--d", "6"], False),
     (["horn", "--r", "2", "--d", "1", "--s", "1000000000"], False),
+    # C(99999, 49999) is over the ceiling: refused without its power
+    (["horn", "--r", "99999", "--d", "49999", "--s", "17"], False),
     (["member", "--point", ";".join([ROW12] * 3)], False),
     (["member", "--point", "1/0,0;0,0;0,0"], False),
     (["sample", "--spectra", ";".join([ROW12] * 2)], False),
+    (["sample", "--spectra", "1,0"], False),  # one spectrum: s = 2
     # the check itself stops after its first term
     pytest.param(["member", "--point", ";".join([ROW20K] * 3)], False,
                  id="member --point r=20000"),

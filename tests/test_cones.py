@@ -1,5 +1,6 @@
 """Cone descriptions, membership oracles, and the shadow search."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -76,6 +77,32 @@ def test_horn_work_stops_at_the_first_sum_over_the_ceiling(monkeypatch, r):
     with pytest.raises(ValueError, match="Horn work"):
         cones.check_horn_work(r, 3)
     assert calls == [1]
+
+
+def test_horn_work_refuses_a_base_over_the_ceiling_unraised(monkeypatch):
+    # C(99999, 49999) has about 30,000 digits: the check computes C(99999, 17)
+    # instead, already over the ceiling, and raises no base to a power
+    calls, comb_exact = [], cones.math.comb
+
+    def comb(n, k):
+        calls.append(k)
+        return comb_exact(n, k)
+    monkeypatch.setattr(cones.math, "comb", comb)
+    with pytest.raises(ValueError, match="Horn work"):
+        cones.check_horn_work(99999, 17, (49999,))
+    assert calls == [17]
+
+
+def test_horn_work_check_is_the_work_sum():
+    for r in range(2, 14):
+        for s in range(3, 7):
+            work = sum(math.comb(r, d) ** (s - 1) for d in range(1, r))
+            try:
+                cones.check_horn_work(r, s)
+                refused = False
+            except ValueError:
+                refused = True
+            assert refused == (work > cones.HORN_WORK), (r, s)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -240,9 +267,14 @@ def test_exact_verdict_and_rank():
     assert ray.tight_rank == certify(((11, 0), (10, 0), (20, 0)), "EqLR").tight_rank
     assert ray.point == x and ray.primitive
     # a Fraction point certifies as its primitive integer multiple
-    ray = certify(parse_point("1/2,0;1/2,0;1/2,1/2"), "LR")
+    half = parse_point("1/2,0;1/2,0;1/2,1/2")
+    ray = certify(half, "LR")
     assert not ray.primitive and ray.point == parse_point("1,0;1,0;1,1")
     assert ray.tight_rank == certify(ray.point, "LR").tight_rank
+    # certify ranks the Gram matrix of the tight forms, not their rows
+    lr = inequality_system(2, 3, "LR")
+    tight = [f.coeffs for f, v in zip(lr.forms, _plain_values(lr, half)) if v == 0]
+    assert ray.tight_rank == exact_rank(tight) == 5
 
 
 def test_member_shape_error():

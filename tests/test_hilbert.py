@@ -1,13 +1,21 @@
 """Bounded Hilbert-basis search and indecomposability."""
 
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from lrcone import cones, hilbert
-from lrcone.cones import member, parse_point, point_add
-from lrcone.partitions import partitions_in_box
+from lrcone.cones import (
+    flatten,
+    inequality_system,
+    member,
+    parse_point,
+    point_add,
+    point_sub,
+)
+from lrcone.partitions import partitions_in_box, subpartitions
 from lrcone.hilbert import (
     decomposition_witness,
     hilbert_basis_bounded,
@@ -44,6 +52,91 @@ def test_witness_is_the_first_in_search_order():
     x = parse_point("2,2,1;2,1,1;3,2,2")
     y = ((0, 0, 0), (1, 0, 0), (1, 0, 0))
     assert decomposition_witness(x, "EqLR") == (y, parse_point("2,2,1;1,1,1;2,2,2"))
+
+
+def loop_witness(x, kind):
+    """The per-candidate search that `decomposition_witness` batches, as a
+    reference: every y in the product of the block choices, in order, each
+    tested on its object-dtype form values."""
+    system = inequality_system(len(x[0]), len(x), kind)
+    vx = system.values(x)
+    half = sum(flatten(x)) / 2
+    block_choices = [
+        [mu for mu in subpartitions(block)
+         if all(a - b >= c - d for (a, b), (c, d)
+                in zip(zip(block, mu), zip(block[1:], mu[1:])))]
+        for block in x]
+    for y in product(*block_choices):
+        if not 0 < sum(map(sum, y)) <= half:
+            continue
+        vy = system.values(y)
+        if system.holds(vy) and system.holds(vx - vy):
+            return (y, point_sub(x, y))
+    return None
+
+
+@pytest.fixture(scope="module")
+def loop_witnesses():
+    """(point, kind) pairs and their `loop_witness`: the rays at (4,3) and
+    every sum of two of them, CSL rays, rays at s = 4 and 5, sums of
+    neighbouring rays, and the non-extremal basis elements of (2,5,B=4)."""
+    points = []
+    for kind in ("LR", "EqLR"):
+        rays = enumerate_rays(4, 3, kind)
+        points += [(x, kind) for x in rays]
+        points += [(point_add(x, y), kind) for i, x in enumerate(rays) for y in rays[i + 1:]]
+    csl = enumerate_rays(4, 3, "CSL")
+    points += [(x, "CSL") for x in csl] + [(point_add(x, y), "CSL")
+                                           for x, y in zip(csl, csl[1:])]
+    for r, s in ((3, 4), (2, 5)):
+        rays = enumerate_rays(r, s, "EqLR")
+        points += [(x, "EqLR") for x in rays] + [(point_add(x, y), "EqLR")
+                                                 for x, y in zip(rays, rays[1:])]
+    points += [(x, "EqLR") for x in hilbert_basis_bounded(2, 5, "EqLR", 4).points
+               if not is_extremal(x, "EqLR")]
+    return points, [loop_witness(x, kind) for x, kind in points]
+
+
+@pytest.mark.parametrize("block_bytes, rows", [(cones.VALUES_BLOCK_BYTES, 2114), (1, 1)],
+                         ids=["default", "one row"])
+def test_batched_witness_matches_per_candidate_loop(monkeypatch, loop_witnesses,
+                                                    block_bytes, rows):
+    # the chunks of the product hold block_rows rows: 2114 at (4,3,EqLR),
+    # which has 62 forms, and one row with a block of 1 byte
+    monkeypatch.setattr(cones, "VALUES_BLOCK_BYTES", block_bytes)
+    assert inequality_system(4, 3, "EqLR").block_rows == rows
+    points, expected = loop_witnesses
+    assert [decomposition_witness(x, kind) for x, kind in points] == expected
+    assert expected.count(None) == 343 and len(expected) == 3331
+
+
+def test_witness_holds_one_value_block(monkeypatch):
+    # the witness of x is row 580 of its 1,296 candidates: their values
+    # under the 168 forms of (5,3,EqLR) up to it would take 780 kB, while a
+    # block of 8 KiB holds 6 rows
+    x = parse_point("4,4,2,2,1;2,2,2,2,1;6,4,4,2,2")
+    expected = decomposition_witness(x, "EqLR")  # caches the forms and choices
+    monkeypatch.setattr(cones, "VALUES_BLOCK_BYTES", 2**13)
+    assert inequality_system(5, 3, "EqLR").block_rows == 6
+    tracemalloc.start()
+    try:
+        got = decomposition_witness(x, "EqLR")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected and got[0] == parse_point("2,2,1,1,0;1,1,1,1,0;3,2,2,1,1")
+    # the float64 forms (20 kB), one block and the rows of its chunk
+    assert peak < 2**16
+
+
+def test_split_choices_are_read_only():
+    choices, weights = hilbert._split_choices((2, 1))
+    assert choices.tolist() == [[0, 0], [1, 0], [1, 1], [2, 1]]
+    assert weights.tolist() == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="read-only"):
+        choices[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 1
 
 
 def test_nonray_indecomposable_example():
@@ -325,6 +418,15 @@ def test_basis_restricts_to_smaller_bound():
 def test_primitive_rays_are_indecomposable():
     assert all(is_indecomposable(p, "EqLR") for p in enumerate_rays(2, 3, "EqLR"))
     assert not is_indecomposable(parse_point("2,0;2,0;2,2"), "LR")
+
+
+def test_non_extremal_basis_element_at_s5_r2():
+    # at s = 4 and 5 the Hilbert basis holds non-extremal elements already at
+    # r = 3 and r = 2 (at s = 3 they first appear at r = 6); one at (2,5)
+    x = parse_point("0,0;1,1;1,1;1,1;2,1")
+    assert member(x, "EqLR")
+    assert decomposition_witness(x, "EqLR") is None
+    assert not is_extremal(x, "EqLR")
 
 
 @pytest.mark.parametrize("r, s, rays, nonextremal", [(3, 4, 125, 20), (2, 5, 102, 6)])

@@ -105,6 +105,16 @@ def test_sampler_refuses_horn_work_first(monkeypatch):
         sample_spectrum_sum([(0.0,) * 20000] * 2, "equal", 1, 0)
 
 
+@pytest.mark.parametrize("spectra", [[(1.0, 0.0)], [(0.0,) * 400], []])
+def test_sampler_refuses_fewer_than_two_spectra_first(monkeypatch, spectra):
+    # one spectrum makes s = 2, below the s >= 3 of every cone system
+    def unitary(*args):
+        raise AssertionError("a trial began before the spectra were counted")
+    monkeypatch.setattr(oracle, "_random_unitary", unitary)
+    with pytest.raises(ValueError, match=f"need at least two spectra, got {len(spectra)}"):
+        sample_spectrum_sum(spectra, "equal", 1, 0)
+
+
 def test_sampler_refuses_spectra_of_unequal_length():
     with pytest.raises(ValueError,
                        match=r"spectrum \(1\.0, 0\.0, 0\.0\) has length 3; expected 2"):

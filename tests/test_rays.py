@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lrcone.cones import (
     inequality_system,
     member,
     parse_point,
+    point_add,
     unflatten,
     zero_point,
 )
@@ -340,6 +342,23 @@ def test_rays_are_certified_and_primitive():
             assert cert.primitive and cert.extremal
         flats = [flatten(p) for p in rays]
         assert flats == sorted(flats)
+
+
+def _row_rank(x, kind):
+    """`exact_rank` of the rows of the forms tight at x themselves."""
+    system = inequality_system(len(x[0]), len(x), kind)
+    return exact_rank(system.coeffs[system.values(x) == 0].tolist())
+
+
+@pytest.mark.parametrize("r, s, kind", [(4, 3, "LR"), (4, 3, "EqLR"), (3, 4, "EqLR")])
+def test_certify_gram_rank_is_the_row_rank(r, s, kind):
+    # certify ranks the Gram matrix of the tight forms, not their rows
+    rays = enumerate_rays(r, s, kind)
+    points = list(rays) + [point_add(x, y) for x, y in combinations(rays, 2)]
+    ranks = [certify(x, kind).tight_rank for x in points]
+    assert ranks == [_row_rank(x, kind) for x in points]
+    assert ranks[:len(rays)] == [r * s - 1] * len(rays)
+    assert min(ranks) < r * s - 1
 
 
 def test_lr_equals_csl_plus_xj():
