@@ -20,7 +20,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 
@@ -154,10 +154,10 @@ class HornDatum:
         return self
 
 
-# Horn enumeration at (r, s) expands C(r, d)^(s-1) subset tuples for each d.
-# More than this many is refused before any work: over its own d by
-# `enumerate_horn`, over every d by each other entry point that needs Horn
-# data. (r, s) = (9, 3) expands 48,618 over every d, in about 3 s.
+# Horn enumeration at (r, s) reads its data off C(r, d)^(s-1) ordered subset
+# tuples for each d. More than this many is refused before any work: over
+# its own d by `enumerate_horn`, over every d by each other entry point that
+# needs Horn data. (r, s) = (9, 3) has 48,618 over every d, in about 1 s.
 HORN_WORK = 10**5
 
 
@@ -179,13 +179,36 @@ def check_horn_work(r, s, ds=None):
                          f"more than {HORN_WORK} subset tuples")
 
 
+def _orderings(items):
+    """The distinct orderings of the sorted tuple `items`, each once, in
+    lexicographic order (next-permutation steps). `itertools.permutations`
+    would yield 10! tuples for the one ordering of ten {1} at
+    (r, s, d) = (3, 11, 1), which the work guard admits."""
+    a = list(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
 @lru_cache(maxsize=None)
 def enumerate_horn(r, s, d):
     """All Horn data at (r, s) for a fixed 1 <= d < r, lexicographic.
 
     Instead of testing every K, we expand the product of the tau classes of
     (I_1,...,I_{s-1}) inside the d x (r-d) box and read off the targets with
-    coefficient exactly 1.
+    coefficient exactly 1. The coefficient is symmetric in the I's, so the
+    product is expanded once per multiset {I_1,...,I_{s-1}}, and its targets
+    are emitted for each distinct ordering. The work guard still counts the
+    C(r, d)^(s-1) ordered tuples: the data hold one datum per ordering.
     """
     if s < 3:
         raise ValueError(f"need s >= 3, got {s}")
@@ -194,11 +217,12 @@ def enumerate_horn(r, s, d):
     check_horn_work(r, s, (d,))
     box = (r - d,) * d
     out = []
-    for Is in product(d_subsets(r, d), repeat=s - 1):
-        dist = multi_expand([tau(I) for I in Is], box)
-        for nu, c in dist.items():
-            if c == 1:
-                out.append(HornDatum(r, s, d, Is, tau_inverse(pad(nu, d), r)))
+    for multiset in combinations_with_replacement(d_subsets(r, d), s - 1):
+        dist = multi_expand([tau(I) for I in multiset], box)
+        Ks = [tau_inverse(pad(nu, d), r) for nu, c in dist.items() if c == 1]
+        if Ks:
+            out.extend(HornDatum(r, s, d, Is, K)
+                       for Is in _orderings(multiset) for K in Ks)
     out.sort(key=lambda h: (h.I, h.K))
     return tuple(out)
 

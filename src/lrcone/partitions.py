@@ -4,11 +4,21 @@ Partitions are plain tuples of weakly decreasing nonnegative integers.
 Subsets of [r] are strictly increasing tuples of integers (1-based).
 Coefficients are computed by counting Littlewood-Richardson skew tableaux
 (column-strict fillings whose reverse reading word is a lattice word),
-which is stable by construction: trailing zeros never matter.
+which is stable by construction: trailing zeros never matter. The
+coefficient entry points refuse arguments that are not partitions.
+
+`lr_expand` lists only the targets nu that can have a nonzero coefficient
+c_{sigma,mu}^nu: at most len(sigma) + len(mu) rows, row i at least
+max(sigma_i, mu_i) and at most the d = 1 Horn bound
+nu_{a+b} <= sigma_a + mu_b. `multi_expand` folds the factors largest first
+and `multi_coef` keys its cache on that order, since the product is
+commutative; Horn enumeration (`cones.enumerate_horn`) expands one product
+per multiset of factors for the same reason.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import lt
 
 
 # ---------------------------------------------------------------------------
@@ -107,51 +117,75 @@ def omega(j, r):
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson coefficients
 
+def _checked(lam, name):
+    """lam trimmed, or ValueError naming the argument if lam is not a
+    partition: the search bounds of `lr_expand` assume partitions."""
+    lam = tuple(lam)
+    if any(map(lt, lam, lam[1:])) or (lam and lam[-1] < 0):
+        raise ValueError(f"{name} is not a partition: {lam}")
+    # the zeros of a partition are its trailing ones
+    return lam[:len(lam) - lam.count(0)]
+
+
+def _size(lam):
+    """Order of partitions by weight, then lexicographically."""
+    return (weight(lam), lam)
+
+
 @lru_cache(maxsize=None)
 def _lr_count(lam, mu, nu):
     """Count LR skew tableaux of shape nu/lam with content mu.
 
     Cells are filled in reverse reading word order (rows top to bottom,
     right to left within a row), so the lattice condition can be checked
-    as a running prefix condition.
+    as a running prefix condition. A cell's neighbours to the right and
+    above are placed before it: `right` and `above` hold their indices in
+    that order, -1 where the neighbour is not in the skew shape.
     """
-    rows = len(nu)
-    lam = pad(lam, rows)
-    # cells of the skew shape in reverse reading order
-    cells = [(i, j) for i in range(rows) for j in range(nu[i] - 1, lam[i] - 1, -1)]
+    lam = pad(lam, len(nu))
+    right, above = [], []
+    start = 0
+    for i, (li, ni) in enumerate(zip(lam, nu)):
+        # row i holds cells j = ni-1, ..., li; row i-1 begins at index `prev`
+        prev, start = start, len(above)
+        for j in range(ni - 1, li - 1, -1):
+            right.append(len(above) - 1 if j < ni - 1 else -1)
+            above.append(prev + nu[i - 1] - 1 - j if i and lam[i - 1] <= j else -1)
+    ncells = len(above)
     nletters = len(mu)
     counts = [0] * nletters
-    fill = {}
+    fill = [0] * ncells
 
     def place(pos):
-        if pos == len(cells):
+        if pos == ncells:
             return 1
-        i, j = cells[pos]
-        right = fill.get((i, j + 1))       # same row, placed earlier
-        above = fill.get((i - 1, j))       # above cell, placed earlier (None if in lam)
+        a, b = above[pos], right[pos]
         total = 0
-        lo = 0 if above is None else above + 1
-        hi = nletters if right is None else right + 1
+        lo = 0 if a < 0 else fill[a] + 1
+        hi = nletters if b < 0 else fill[b] + 1
         for t in range(lo, hi):
             if counts[t] >= mu[t]:
                 continue
             if t > 0 and counts[t] >= counts[t - 1]:
                 continue  # lattice word violation
             counts[t] += 1
-            fill[(i, j)] = t
+            fill[pos] = t
             total += place(pos + 1)
             counts[t] -= 1
-        fill.pop((i, j), None)
         return total
 
     return place(0)
 
 
 def lr_coef(lam, mu, nu):
-    """The stable Littlewood-Richardson coefficient c_{lam,mu}^nu."""
-    lam, mu, nu = trim(lam), trim(mu), trim(nu)
-    if any(p < 0 for p in lam + mu + nu):
-        raise ValueError("partitions must be nonnegative")
+    """The stable Littlewood-Richardson coefficient c_{lam,mu}^nu.
+
+    Raises ValueError if an argument is not a partition. The coefficient
+    is symmetric in lam and mu, so the count fills the smaller skew shape:
+    nu over the larger of the two."""
+    lam, mu, nu = _checked(lam, "lam"), _checked(mu, "mu"), _checked(nu, "nu")
+    if _size(mu) > _size(lam):
+        lam, mu = mu, lam
     if weight(lam) + weight(mu) != weight(nu):
         return 0
     if not contains(nu, lam) or not contains(nu, mu):
@@ -163,36 +197,53 @@ def lr_coef(lam, mu, nu):
 
 @lru_cache(maxsize=None)
 def lr_expand(sigma, mu, cap):
-    """Expand c_{sigma,mu}^{*} over all targets nu with sigma <= nu <= cap.
+    """Expand c_{sigma,mu}^{*} over all targets nu <= cap.
 
-    Returns a tuple of (nu, coefficient) pairs with nu trimmed; `cap` bounds
-    the search (componentwise), typically the final target partition or a
-    rectangle. Only nu of the correct weight appear.
+    Returns a tuple of (nu, coefficient) pairs with nu trimmed and the
+    coefficient nonzero, nu in reverse lexicographic order; `cap` bounds the
+    search (componentwise), typically the final target partition or a
+    rectangle. sigma and mu must be partitions.
+
+    Only targets that can have a nonzero coefficient are counted: nu has
+    weight |sigma| + |mu| and at most len(sigma) + len(mu) rows, row i lies
+    between max(sigma_i, mu_i) and the d = 1 Horn (Weyl) bound
+    min over a + b = i of sigma_a + mu_b (rows from 0), and each row leaves
+    enough boxes for the lower bounds of the rows below it. When the weight
+    equals |cap| the only target is cap itself, counted with no search.
     """
     sigma, mu, cap = trim(sigma), trim(mu), trim(cap)
-    target = weight(sigma) + weight(mu)
-    rows = len(cap)
-    if weight(sigma) > weight(cap) or not contains(cap, sigma):
+    total = weight(sigma) + weight(mu)
+    if total > weight(cap) or not contains(cap, sigma) or not contains(cap, mu):
         return ()
+    if total == weight(cap):
+        c = _lr_count(sigma, mu, cap)
+        return ((cap, c),) if c else ()
+    rows = min(len(cap), len(sigma) + len(mu))
+    sig, m = pad(sigma, rows), pad(mu, rows)
+    lo = [max(a, b) for a, b in zip(sig, m)]
+    hi = [min(cap[i], min(sig[a] + m[i - a] for a in range(i + 1)))
+          for i in range(rows)]
+    # need[i]: boxes that rows i, i+1, ... take at least
+    need = list(accumulate(reversed(lo), initial=0))[::-1]
     out = []
 
     def rec(prefix, i, remaining):
         if remaining == 0:
             nu = trim(prefix)
-            c = lr_coef(sigma, mu, nu)
+            c = _lr_count(sigma, mu, nu)
             if c:
                 out.append((nu, c))
             return
         if i == rows:
             return
-        lo = sigma[i] if i < len(sigma) else 0
-        hi = min(cap[i], prefix[-1] if prefix else cap[0], remaining)
-        # remaining boxes must fit in the rows still available
-        for part in range(hi, lo - 1, -1):
-            if remaining - part <= part * (rows - i - 1):
-                rec(prefix + [part], i + 1, remaining - part)
+        top = min(hi[i], prefix[-1] if prefix else hi[i], remaining - need[i + 1])
+        for part in range(top, lo[i] - 1, -1):
+            # the remaining boxes must fit in the rows still available
+            if remaining - part > part * (rows - i - 1):
+                break
+            rec(prefix + [part], i + 1, remaining - part)
 
-    rec([], 0, target)
+    rec([], 0, total)
     return tuple(out)
 
 
@@ -200,9 +251,11 @@ def multi_expand(lams, cap):
     """Left-fold expansion of a product of Schur classes, pruned to `cap`.
 
     Returns a dict {nu: coefficient} over trimmed partitions nu <= cap with
-    |nu| = sum of weights.
+    |nu| = sum of weights. The product is commutative, so the fold takes
+    the factors largest first, whatever their order in `lams`: each step
+    then counts tableaux of the smaller factor's weight.
     """
-    lams = [trim(l) for l in lams]
+    lams = sorted((trim(l) for l in lams), key=_size, reverse=True)
     if not lams:
         raise ValueError("need at least one factor")
     cap = trim(cap)
@@ -225,9 +278,14 @@ def _multi_coef_cached(lams, nu):
 
 
 def multi_coef(lams, nu):
-    """The multi-factor stable structure coefficient c_{lam^1,...,lam^k}^nu."""
-    lams = tuple(trim(l) for l in lams)
-    nu = trim(nu)
+    """The multi-factor stable structure coefficient c_{lam^1,...,lam^k}^nu.
+
+    Raises ValueError if a factor or nu is not a partition. The coefficient
+    is symmetric in the factors; they are sorted largest first, so that
+    every ordering shares one cache entry."""
+    lams = tuple(sorted((_checked(l, f"lams[{k}]") for k, l in enumerate(lams)),
+                        key=_size, reverse=True))
+    nu = _checked(nu, "nu")
     if not lams:
         raise ValueError("need at least one factor")
     if len(lams) == 1:

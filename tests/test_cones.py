@@ -1,8 +1,9 @@
 """Cone descriptions, membership oracles, and the shadow search."""
 
+import hashlib
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -128,6 +129,32 @@ def test_enumerate_horn_symmetric_in_inputs():
     for h in enumerate_horn(3, 3, 1):
         swapped = (h.I[1], h.I[0])
         assert any(g.I == swapped and g.K == h.K for g in enumerate_horn(3, 3, 1))
+
+
+# sha256 of repr([(d, I, K), ...]) over all_horn_data(r, s), recorded from
+# the expansion of every ordered tuple (I_1, ..., I_{s-1}) before it was
+# replaced by one expansion per multiset
+HORN_DIGESTS = {
+    (7, 3): (2042, "1743235641a15167a123afb951c3cba1e49d9c82c022bd95a31bee14f9f295db"),
+    (4, 4): (92, "788f78555cc1da8f605ec622f76870115618ecad6361c4cba64868cd00a36831"),
+    (3, 5): (30, "782ddac6d742eced5aeaf44cdb225f49ead52e8c5c3e82cd29f190a92572fcc3"),
+}
+
+
+@pytest.mark.parametrize("r, s", sorted(HORN_DIGESTS))
+def test_horn_data_are_pinned(r, s):
+    data = all_horn_data(r, s)
+    text = repr([(h.d, h.I, h.K) for h in data])
+    assert (len(data), hashlib.sha256(text.encode()).hexdigest()) == HORN_DIGESTS[r, s]
+    # the structure coefficient is symmetric in the I's
+    keys = {(h.I, h.K) for h in data}
+    for h in data:
+        assert all((Is, h.K) in keys for Is in permutations(h.I)), h
+
+
+def test_orderings_are_distinct_and_complete():
+    for items in ((1, 1, 2, 3, 3), (1, 1, 1), (2,), ()):
+        assert list(cones._orderings(items)) == sorted(set(permutations(items)))
 
 
 def test_inequality_system_r1_eqlr():

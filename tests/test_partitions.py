@@ -1,16 +1,20 @@
 """Combinatorics layer: tau, LR coefficients, and the independent
 Schur-polynomial oracle."""
 
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lrcone.partitions import (
     coef_of_subsets,
+    contains,
     d_subsets,
     lr_coef,
+    lr_expand,
     multi_coef,
+    multi_expand,
     omega,
     partitions_in_box,
     tau,
@@ -23,6 +27,7 @@ from lrcone.partitions import (
 # an independent oracle: multiply Schur polynomials monomial-by-monomial and
 # peel off leading terms. Shares nothing with the tableau counter.
 
+@lru_cache(maxsize=None)
 def ssyt_monomials(lam, nvars):
     """Multiset of x^alpha monomials of s_lam(x_1..x_nvars), as a dict."""
     lam = trim(lam)
@@ -79,6 +84,15 @@ def oracle_lr(lam, mu, nu):
     nvars = max(len(trim(lam)) + len(trim(mu)), len(trim(nu)), 1)
     prod = poly_mult(ssyt_monomials(lam, nvars), ssyt_monomials(mu, nvars))
     return schur_expand(prod, nvars).get(trim(nu), 0)
+
+
+def oracle_expand(lams, nvars):
+    """The Schur expansion {nu: c} of the product of the s_lam, over the nu
+    with at most `nvars` rows: in nvars variables every other s_nu is 0."""
+    prod = {(0,) * nvars: 1}
+    for lam in lams:
+        prod = poly_mult(prod, ssyt_monomials(trim(lam), nvars))
+    return schur_expand(prod, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +196,63 @@ def test_coef_of_subsets():
 
 def test_d_subsets():
     assert d_subsets(3, 2) == [(1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("args, bad", [
+    (((1, 2), (1,), (2, 2)), "lam"),
+    (((1,), (1, 2), (2, 2)), "mu"),
+    (((0, 1), (1,), (1, 1)), "lam"),
+    (((1,), (1,), (2, -1)), "nu"),
+])
+def test_lr_coef_refuses_non_partitions(args, bad):
+    # the first three used to be answered: as 1, 0 and 1
+    with pytest.raises(ValueError, match=f"^{bad} is not a partition"):
+        lr_coef(*args)
+
+
+@pytest.mark.parametrize("lams, nu, bad", [
+    (((1, 2), (1,)), (2, 2), r"lams\[0\]"),
+    (((1,), (1, 2)), (2, 2), r"lams\[1\]"),
+    (((1,), (1,)), (0, 2), "nu"),
+    (((1,), (1,), (1, -1)), (2, 1), r"lams\[2\]"),
+])
+def test_multi_coef_refuses_non_partitions(lams, nu, bad):
+    with pytest.raises(ValueError, match=f"^{bad} is not a partition"):
+        multi_coef(lams, nu)
+
+
+def test_lr_expand_pruned_matches_oracle():
+    # every sigma and mu in a 3 x 3 box, under caps that cut the search: a
+    # rectangle, a staircase, and two targets of the full weight: sigma + mu,
+    # whose coefficient is 1, and one row. All caps have at most 4 rows, so
+    # the oracle runs in 4 variables.
+    parts = partitions_in_box(3, 3)
+    for sigma, mu in product(parts, repeat=2):
+        want = oracle_expand([sigma, mu], 4)
+        total = sum(sigma) + sum(mu)
+        caps = [(4, 4, 4), (4, 3, 2, 1), tuple(a + b for a, b in zip(sigma, mu)),
+                (total,)]
+        for cap in caps:
+            got = dict(lr_expand(sigma, mu, cap))
+            assert got == {nu: c for nu, c in want.items()
+                           if c and contains(cap, nu)}, (sigma, mu, cap)
+
+
+def test_three_factor_multi_coef_matches_oracle():
+    parts = [trim(p) for p in partitions_in_box(2, 2)]
+    for lams in combinations_with_replacement(parts, 3):
+        want = oracle_expand(lams, 4)
+        for nu in partitions_in_box(4, 6):
+            if sum(nu) == sum(map(sum, lams)):
+                for order in set(permutations(lams)):
+                    assert multi_coef(order, nu) == want.get(trim(nu), 0), (order, nu)
+
+
+def test_multi_expand_is_the_same_in_every_order():
+    # multi_expand folds its factors largest first, which relies on this
+    factors = ((2, 1), (1, 1), (1,), (2,), ())
+    for cap in ((3, 3, 2), (4, 2, 1, 1), (7,), (2, 2, 2, 1)):
+        want = oracle_expand(factors, len(cap))
+        want = {nu: c for nu, c in want.items() if c and contains(cap, nu)}
+        for order in permutations(factors):
+            assert multi_expand(order, cap) == want, (order, cap)
