@@ -10,10 +10,19 @@ coefficient entry points refuse arguments that are not partitions.
 `lr_expand` lists only the targets nu that can have a nonzero coefficient
 c_{sigma,mu}^nu: at most len(sigma) + len(mu) rows, row i at least
 max(sigma_i, mu_i) and at most the d = 1 Horn bound
-nu_{a+b} <= sigma_a + mu_b. `multi_expand` folds the factors largest first
-and `multi_coef` keys its cache on that order, since the product is
-commutative; Horn enumeration (`cones.enumerate_horn`) expands one product
-per multiset of factors for the same reason.
+nu_{a+b} <= sigma_a + mu_b. `multi_expand` folds the factors largest first,
+since the product is commutative; Horn enumeration (`cones.enumerate_horn`)
+expands one product per multiset of factors for the same reason, and is
+what `lr_expand` and `multi_expand` serve.
+
+`multi_coef` answers one target with no expansion. It sorts the factors
+largest first, lam then the rest, and walks the LR tableaux of nu/lam once
+(`_lr_contents`): the walk counts c_{lam,kappa}^nu for every content kappa
+at once, each kappa capped by the Weyl bound of the product of the rest,
+and the coefficient is the sum of c_{lam,kappa}^nu c_{rest}^kappa.
+`_lr_count`, the walk with one fixed content, counts for `lr_coef`,
+`lr_expand` and a `multi_coef` of two factors; both walks take their cell
+order from `_cell_order`.
 """
 
 from functools import lru_cache
@@ -132,16 +141,12 @@ def _size(lam):
     return (weight(lam), lam)
 
 
-@lru_cache(maxsize=None)
-def _lr_count(lam, mu, nu):
-    """Count LR skew tableaux of shape nu/lam with content mu.
-
-    Cells are filled in reverse reading word order (rows top to bottom,
-    right to left within a row), so the lattice condition can be checked
-    as a running prefix condition. A cell's neighbours to the right and
-    above are placed before it: `right` and `above` hold their indices in
-    that order, -1 where the neighbour is not in the skew shape.
-    """
+def _cell_order(lam, nu):
+    """The cells of the skew shape nu/lam in reverse reading word order
+    (rows top to bottom, right to left within a row), as two index arrays:
+    each cell's neighbours to the right and above come before it, and
+    `right` and `above` hold their indices in that order, -1 where the
+    neighbour is not in the skew shape. lam must lie inside nu."""
     lam = pad(lam, len(nu))
     right, above = [], []
     start = 0
@@ -151,6 +156,18 @@ def _lr_count(lam, mu, nu):
         for j in range(ni - 1, li - 1, -1):
             right.append(len(above) - 1 if j < ni - 1 else -1)
             above.append(prev + nu[i - 1] - 1 - j if i and lam[i - 1] <= j else -1)
+    return right, above
+
+
+@lru_cache(maxsize=None)
+def _lr_count(lam, mu, nu):
+    """Count LR skew tableaux of shape nu/lam with content mu.
+
+    Cells are filled in the order of `_cell_order`, so the lattice condition
+    can be checked as a running prefix condition, and a cell's neighbours to
+    the right and above are filled before it.
+    """
+    right, above = _cell_order(lam, nu)
     ncells = len(above)
     nletters = len(mu)
     counts = [0] * nletters
@@ -175,6 +192,58 @@ def _lr_count(lam, mu, nu):
         return total
 
     return place(0)
+
+
+def _lr_contents(lam, nu, cap):
+    """{kappa: c_{lam,kappa}^nu} over the partitions kappa <= cap
+    (componentwise) with a nonzero coefficient, kappa trimmed.
+
+    One walk over the LR skew tableaux of shape nu/lam, as in `_lr_count`,
+    but with the count of each letter t bounded by cap_t instead of fixed:
+    each tableau is counted under its content. Letters past len(nu) cannot
+    occur. lam must lie inside nu.
+    """
+    right, above = _cell_order(lam, nu)
+    ncells = len(above)
+    cap = (tuple(cap) + (0,) * len(nu))[:len(nu)]
+    nletters = len(cap)
+    counts = [0] * nletters
+    fill = [0] * ncells
+    out = {}
+
+    def place(pos):
+        if pos == ncells:
+            kappa = trim(counts)
+            out[kappa] = out.get(kappa, 0) + 1
+            return
+        a, b = above[pos], right[pos]
+        lo = 0 if a < 0 else fill[a] + 1
+        hi = nletters if b < 0 else fill[b] + 1
+        for t in range(lo, hi):
+            if counts[t] >= cap[t]:
+                continue
+            if t > 0 and counts[t] >= counts[t - 1]:
+                continue  # lattice word violation
+            counts[t] += 1
+            fill[pos] = t
+            place(pos + 1)
+            counts[t] -= 1
+
+    place(0)
+    return out
+
+
+def _weyl_bound(lams, rows):
+    """A componentwise bound, over `rows` rows, on every kappa with
+    c_{lams}^kappa nonzero: the d = 1 Horn (Weyl) bound
+    kappa_{a+b} <= sigma_a + tau_b (rows from 0) of a product of two,
+    folded over the factors. Each factor must have at most `rows` rows."""
+    bound = pad(lams[0], rows)
+    for lam in lams[1:]:
+        lam = pad(lam, rows)
+        bound = tuple(min(bound[a] + lam[i - a] for a in range(i + 1))
+                      for i in range(rows))
+    return bound
 
 
 def lr_coef(lam, mu, nu):
@@ -219,10 +288,8 @@ def lr_expand(sigma, mu, cap):
         c = _lr_count(sigma, mu, cap)
         return ((cap, c),) if c else ()
     rows = min(len(cap), len(sigma) + len(mu))
-    sig, m = pad(sigma, rows), pad(mu, rows)
-    lo = [max(a, b) for a, b in zip(sig, m)]
-    hi = [min(cap[i], min(sig[a] + m[i - a] for a in range(i + 1)))
-          for i in range(rows)]
+    lo = list(map(max, pad(sigma, rows), pad(mu, rows)))
+    hi = list(map(min, cap, _weyl_bound((sigma, mu), rows)))
     # need[i]: boxes that rows i, i+1, ... take at least
     need = list(accumulate(reversed(lo), initial=0))[::-1]
     out = []
@@ -253,7 +320,9 @@ def multi_expand(lams, cap):
     Returns a dict {nu: coefficient} over trimmed partitions nu <= cap with
     |nu| = sum of weights. The product is commutative, so the fold takes
     the factors largest first, whatever their order in `lams`: each step
-    then counts tableaux of the smaller factor's weight.
+    then counts tableaux of the smaller factor's weight. It lists every
+    intermediate target under `cap`, which Horn enumeration needs; a single
+    coefficient is `multi_coef`, which lists none.
     """
     lams = sorted((trim(l) for l in lams), key=_size, reverse=True)
     if not lams:
@@ -274,7 +343,21 @@ def multi_expand(lams, cap):
 
 @lru_cache(maxsize=None)
 def _multi_coef_cached(lams, nu):
-    return multi_expand(lams, nu).get(nu, 0)
+    """c_{lams}^nu for trimmed factors sorted largest first (at least two).
+
+    With lams = (lam, *rest), s_lam s_rest = sum over kappa of
+    c_{rest}^kappa s_lam s_kappa, so the coefficient is the sum over kappa
+    of c_{lam,kappa}^nu c_{rest}^kappa. One `_lr_contents` walk over nu/lam
+    gives every c_{lam,kappa}^nu at once, kappa capped by the Weyl bound of
+    the product of `rest`; two factors are one `_lr_count`."""
+    lam, rest = lams[0], lams[1:]
+    if sum(map(weight, lams)) != weight(nu) or not all(contains(nu, l) for l in lams):
+        return 0
+    if len(rest) == 1:
+        return _lr_count(lam, rest[0], nu)
+    cap = _weyl_bound(rest, len(nu))
+    return sum(c * _multi_coef_cached(rest, kappa)
+               for kappa, c in _lr_contents(lam, nu, cap).items())
 
 
 def multi_coef(lams, nu):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lrcone.partitions import (
+    _lr_contents,
     coef_of_subsets,
     contains,
     d_subsets,
@@ -256,3 +257,61 @@ def test_multi_expand_is_the_same_in_every_order():
         want = {nu: c for nu, c in want.items() if c and contains(cap, nu)}
         for order in permutations(factors):
             assert multi_expand(order, cap) == want, (order, cap)
+
+
+@lru_cache(maxsize=None)
+def targets(weight, rows, largest=None):
+    """Every partition of `weight` with at most `rows` parts, each at most
+    `largest` (default: no bound), trimmed, in reverse lexicographic order."""
+    if weight == 0:
+        return ((),)
+    if rows == 0:
+        return ()
+    top = weight if largest is None else min(largest, weight)
+    return tuple((part,) + rest for part in range(top, 0, -1)
+                 for rest in targets(weight - part, rows - 1, part))
+
+
+@pytest.mark.parametrize("nfactors, width", [(3, 3), (4, 2)])
+def test_multi_coef_is_the_fold(nfactors, width):
+    # the left fold multi_expand stays the oracle of the one-walk multi_coef:
+    # every multiset of factors from a 2 x width box, one ordering each, at
+    # every target of the right weight
+    parts = [trim(p) for p in partitions_in_box(2, width)]
+    for lams in combinations_with_replacement(parts, nfactors):
+        lams = lams[::-1] if sum(map(sum, lams)) % 2 else lams
+        for nu in targets(sum(map(sum, lams)), 2 * nfactors):
+            assert multi_coef(lams, nu) == multi_expand(lams, nu).get(nu, 0), (lams, nu)
+
+
+# the four slowest three-factor multi_coef queries of the benchmark under the
+# fold, with the coefficients the fold gives
+SLOW_QUERIES = [
+    (((4, 4, 3, 1, 1), (4, 3, 2, 2, 1), (2, 2, 2, 0, 0)), (8, 6, 6, 5, 3, 3), 221),
+    (((3, 2, 1, 1, 1), (4, 3, 3, 2, 1), (4, 3, 1, 0, 0)), (7, 6, 5, 5, 4, 2), 394),
+    (((4, 4, 3, 3, 2), (4, 4, 2, 2, 2), (4, 4, 3, 0, 0)), (11, 7, 7, 7, 5, 4), 69),
+    (((3, 3, 1, 0, 0), (4, 4, 4, 1, 0), (4, 3, 3, 2, 0)), (9, 6, 5, 5, 4, 3), 218),
+]
+
+
+@pytest.mark.parametrize("lams, nu, coef", SLOW_QUERIES)
+def test_slow_multi_coef_queries_are_the_fold(lams, nu, coef):
+    assert multi_expand(lams, nu).get(nu, 0) == coef
+    assert multi_coef(lams, nu) == coef
+
+
+def test_content_walk_is_lr_coef():
+    # one walk over nu/lam counts c_{lam,kappa}^nu for every content kappa,
+    # uncapped (cap = nu) and under caps that cut it
+    for nu in partitions_in_box(4, 4):
+        nu = trim(nu)
+        for lam in map(trim, partitions_in_box(4, 3)):
+            if not contains(nu, lam):
+                continue
+            coefs = {kappa: lr_coef(lam, kappa, nu)
+                     for kappa in targets(sum(nu) - sum(lam), len(nu))}
+            coefs = {kappa: c for kappa, c in coefs.items() if c}
+            for cap in (nu, (2, 2, 1), (3, 1, 1, 1), (1, 1)):
+                assert _lr_contents(lam, nu, cap) == {
+                    kappa: c for kappa, c in coefs.items() if contains(cap, kappa)
+                }, (lam, nu, cap)

@@ -1,5 +1,6 @@
 """The facet algorithm and cone-level ray enumeration."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -39,6 +40,7 @@ from lrcone.rays import (
     pi_inverse,
     point_sub,
     primitive,
+    rayset_lines,
     special_rays,
     swap_datum,
     type1_data,
@@ -325,6 +327,30 @@ def test_ray_counts_small():
     assert len(enumerate_rays(2, 3, "EqLR")) == 10
     assert len(enumerate_rays(3, 3, "LR")) == 10
     assert len(enumerate_rays(3, 3, "EqLR")) == 27
+
+
+# sha256 of the text lines of enumerate_rays(r, s, kind) (`rayset_lines`,
+# joined by newlines), recorded from the release whose multi_coef expanded
+# the product by a left fold; these shapes read 3- and 4-factor
+# coefficients through coef_of_subsets
+RAY_DIGESTS = {
+    (4, 4, "LR"): (67, "ac905f8b101f2bfeb41c6b7f7e082460674042988856f8bd928e41bb1c26d403"),
+    (4, 4, "EqLR"): (433, "18255b474fb17f8c7b7f0771306cea5a681b7f2e5aa361ddd3bdf94228003a64"),
+    (5, 4, "LR"): (259, "52bdef39d67979f3626f2349c3ec6912bbd421e9455b1984f9bef2e3c065c44a"),
+    (5, 4, "EqLR"): (1489, "99569683e1be9f1f72cb17fd32185d3f03cd6af5c917c3b3813a97bcac7daf4d"),
+    (3, 5, "LR"): (44, "07976547501783029f02bb55b59aaadc7db5ee794b43b6062cd80527abdb26c4"),
+    (3, 5, "EqLR"): (474, "3159ce24d15078baa86e980ea023a87353cea4134e7f0ad6c25c91e3813a392f"),
+    (4, 5, "LR"): (174, "677d6f30e187d0ab2163f6a42febdf703498edba6ab83abe7147dac000a42779"),
+    (4, 5, "EqLR"): (1947, "1f666e9569925b5dca2a618300bab78fae75df0165520eaf492bb3de6c9d574d"),
+}
+
+
+@pytest.mark.parametrize("r, s, kind", sorted(RAY_DIGESTS))
+def test_ray_sets_are_pinned(monkeypatch, r, s, kind):
+    monkeypatch.delenv(rays.CACHE_ENV, raising=False)
+    found = enumerate_rays(r, s, kind)
+    text = "\n".join(rayset_lines(found))
+    assert (len(found), hashlib.sha256(text.encode()).hexdigest()) == RAY_DIGESTS[r, s, kind]
 
 
 def test_rays_r2_table():
@@ -695,6 +721,22 @@ def test_induction_matrix_is_ind_hat(r):
             for b in (zero_point(r - h.d, 3),) + enumerate_rays(r - h.d, 3, "EqLR"):
                 z = np.array(flatten(a) + flatten(b), dtype=np.int64)
                 assert tuple((m @ z).tolist()) == flatten(ind_hat(a, b, h))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_induction_matrix_undoes_pi(r):
+    # pi is the oracle of the coordinate split in M_h: for each ray x on the
+    # facet of h, M_h maps the row z = pi(x, h) to p2_hat(x, h), so the
+    # placement in M_h is the inverse of pi
+    eqlr = enumerate_rays(r, 3, "EqLR")
+    for h in all_horn_data(r, 3):
+        m = rays._induction_matrix(h)
+        on_facet = [x for x in eqlr if horn_slack(x, h) == 0]
+        assert on_facet, h
+        for x in on_facet:
+            a, b = pi(x, h)
+            z = np.array(flatten(a) + flatten(b), dtype=np.int64)
+            assert tuple((m @ z).tolist()) == flatten(p2_hat(x, h)), (h, x)
 
 
 def test_tight_sets_beyond_int64():
