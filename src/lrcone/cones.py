@@ -5,19 +5,21 @@ Fraction); the first s-1 blocks are the lambda^j, the last is nu.
 
 Every cone is {x : Ax >= 0}: each form is a row of A, and an equality
 (a trace, or a CSL last part) is written as the form and its negative, both
->= 0. Each system evaluates its forms at a single point in one place,
-`InequalitySystem.values`: an object-dtype matrix of the integer
-coefficients times the point, so int, Fraction and integers beyond int64
-keep exact Python arithmetic -- no tolerances. Batches of integer points
-are multiplied in one exact dtype, `exact_dtype`: float64 through BLAS
-while a stated bound shows every partial sum below 2**53, Python ints
-otherwise. `InequalitySystem.value_blocks` yields the form values of a
-batch `block_rows` rows at a time to `members` and the ray pipeline.
+>= 0. Integer points, one or a batch, are multiplied with the forms in one
+exact dtype, `exact_dtype`: float64 through BLAS while a stated bound shows
+every partial sum below 2**53, Python ints otherwise -- no tolerances. For
+one point the bound is rs * max|x|, since every coefficient is 0 or +-1.
+`InequalitySystem.values` evaluates a single point: an integer point as a
+1-row product, and only a point with a Fraction or float entry by Python
+arithmetic on the object-dtype coefficients. `InequalitySystem.value_blocks`
+yields the form values of a batch `block_rows` rows at a time to `members`
+and the ray pipeline.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations_with_replacement
@@ -249,6 +251,12 @@ def _max_abs(a):
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
+def _bound_dtype(bound):
+    """float64 if every partial sum of a product is at most bound < 2**53,
+    which float64 holds exactly; Python ints (object dtype) otherwise."""
+    return np.float64 if bound < 2**53 else object
+
+
 def exact_dtype(a, b):
     """A dtype in which a @ b is exact, for integer arrays a and b.
 
@@ -258,8 +266,7 @@ def exact_dtype(a, b):
     product can run through BLAS in float64; otherwise the operands are
     Python ints (object dtype). The bound holds for every row slice of a,
     so one dtype serves a product taken slice by slice."""
-    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
-    return np.float64 if bound < 2**53 else object
+    return _bound_dtype(a.shape[1] * _max_abs(a) * _max_abs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +286,43 @@ class InequalitySystem:
     s: int
     kind: str
     forms: tuple
-    # the coefficients of the forms as an object array of ints (rows = forms)
-    coeffs: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self):
         return self.r * self.s
 
     def values(self, x):
-        """The value of every form at the point x, exactly: Python arithmetic
-        on the entries of x, summed left to right."""
-        flat = np.array(flatten(check_point(x, self.r, self.s)), dtype=object)
-        return self.coeffs @ flat
+        """The value of every form at the point x, exactly (`flat_values`)."""
+        return self.flat_values(flatten(check_point(x, self.r, self.s)))
+
+    def flat_values(self, flat):
+        """The value of every form at a flat point of `dim` entries, which
+        the caller has checked (`check_point`), exactly.
+
+        A point of integers (int or numpy integers) is one 1-row product
+        with the forms in its `point_dtype`: float64 below the bound, with
+        int64 values, and Python ints past it. A point with a Fraction or
+        float entry keeps Python arithmetic on the object-dtype
+        coefficients, summed left to right."""
+        try:
+            ints = list(map(operator.index, flat))
+        except TypeError:
+            return self.coeffs @ np.array(flat, dtype=object)
+        dtype = self.point_dtype(ints)
+        vals = np.array(ints, dtype=dtype) @ self.columns(dtype)
+        return vals.astype(np.int64) if dtype is np.float64 else vals
+
+    def point_dtype(self, flat):
+        """The `exact_dtype` of a product of the forms with rows of integers
+        at most max|flat| in absolute value, for the integers `flat`: every
+        coefficient is 0 or +-1, so each partial sum is at most
+        dim * max|flat|."""
+        return _bound_dtype(self.dim * max(map(abs, flat)))
+
+    def columns(self, dtype):
+        """The forms as the columns of a matrix in dtype (float64, cached,
+        or Python ints), for a product in that `exact_dtype`."""
+        return self.float_columns if dtype is np.float64 else self.coeffs.T
 
     def holds(self, vals):
         """Whether the form values `vals` are all >= 0."""
@@ -308,7 +340,7 @@ class InequalitySystem:
         """Yield (at, values): every form's value at rows[at:at + block_rows]
         of an integer array of flat points, in the batch's `exact_dtype`."""
         dtype = exact_dtype(rows, self.int_rows.T)
-        forms = self.int_rows.T.astype(dtype)
+        forms = self.columns(dtype)
         for at in range(0, len(rows), self.block_rows):
             yield at, rows[at:at + self.block_rows].astype(dtype) @ forms
 
@@ -321,10 +353,25 @@ class InequalitySystem:
             del values  # so that the next block is not made beside this one
         return ok
 
+    # Each array of the coefficients is made when first read, so that a
+    # system holds only those its points need: the integer points of the
+    # membership oracles only `float_columns`.
+    @cached_property
+    def coeffs(self):
+        """The forms as an object array of Python ints (rows = forms)."""
+        return np.array([f.coeffs for f in self.forms], dtype=object)
+
     @cached_property
     def int_rows(self):
-        """The forms as int64 rows (every coefficient is 0 or +-1)."""
-        return self.coeffs.astype(np.int64)
+        """The forms as int64 rows (every coefficient is 0 or +-1, so
+        exact in `float_columns`, which they are read from)."""
+        return np.ascontiguousarray(self.float_columns.T, dtype=np.int64)
+
+    @cached_property
+    def float_columns(self):
+        """The forms as the float64 columns of `columns`, C-ordered: a row
+        times them is a little faster than times the transposed rows."""
+        return np.array([f.coeffs for f in self.forms], dtype=np.float64).T.copy()
 
     @cached_property
     def pair_rows(self):
@@ -395,14 +442,14 @@ def inequality_system(r, s, kind):
                 v[(s - 1) * r + i] = 1
                 v[k * r + i] = -1
                 add(v, "containment")
-    return InequalitySystem(r, s, kind, tuple(forms),
-                            np.array([f.coeffs for f in forms], dtype=object))
+    return InequalitySystem(r, s, kind, tuple(forms))
 
 
 def member(x, kind):
     """Exact membership of a cone point in the named cone."""
     x = check_point(x)
-    return inequality_system(len(x[0]), len(x), normalize_kind(kind)).is_member(x)
+    system = inequality_system(len(x[0]), len(x), normalize_kind(kind))
+    return system.holds(system.flat_values(flatten(x)))
 
 
 def horn_slack(x, h):

@@ -44,7 +44,6 @@ from .partitions import partitions_in_box, subpartitions
 from .cones import (
     VALUES_BLOCK_BYTES,
     check_point,
-    exact_dtype,
     flatten,
     inequality_system,
     int_point,
@@ -305,11 +304,11 @@ def decomposition_witness(x, kind):
     The product of the block choices is read in chunks of
     `system.block_rows` rows, by mixed-radix index in the order of
     `itertools.product`, and never built whole: each chunk is one exact
-    integer product with the forms in the `exact_dtype` of x, so the search
+    integer product with the forms in the `point_dtype` of x, so the search
     holds one value block of candidate rows at a time. The forms are
-    linear, so their values at x - y are their values at x minus those at
-    y. The first chunk with a witness ends the search, and its first
-    witness is returned: the first y in search order.
+    linear, so their values at x - y are their values at x (`flat_values`)
+    minus those at y. The first chunk with a witness ends the search, and
+    its first witness is returned: the first y in search order.
 
     Only for the pointed kinds LR, EqLR and CSL: in C and EqC every point
     splits along the lines of the cone, so ValueError is raised for them,
@@ -326,14 +325,13 @@ def decomposition_witness(x, kind):
         raise ValueError("the zero point is not a semigroup element")
     r = len(x[0])
     system = inequality_system(r, len(x), kind)
-    # x as int64, or as Python ints past int64; every candidate lies
-    # between 0 and x entrywise, so the bound of x covers each chunk too
-    row = np.array([flat])
-    dtype = exact_dtype(row, system.int_rows.T)
-    forms = system.int_rows.T.astype(dtype)
-    vx = (row.astype(dtype) @ forms)[0]
+    vx = system.flat_values(flat)
     if not system.holds(vx):
         raise ValueError("not a lattice point of the semigroup")
+    # every candidate lies between 0 and x entrywise, so the dtype of x
+    # serves each chunk too
+    dtype = system.point_dtype(flat)
+    forms = system.columns(dtype)
     total = sum(flat)
     choices, weights = zip(*map(_split_choices, x))
     sizes = tuple(map(len, choices))

@@ -143,6 +143,12 @@ def certify(x, kind):
     """Extremality certificate for a nonzero member of the cone: its
     primitive multiple and the rank of the forms A tight at x.
 
+    The tight forms are read off the form values at x
+    (`InequalitySystem.flat_values`), exact for every input: an integer
+    point is one 1-row product with the forms in its exact dtype (float64
+    while rs * max|x| < 2**53, Python ints past it), and only a Fraction or
+    float entry keeps Python arithmetic.
+
     The rank is that of the Gram matrix G = A^T A (A^T A v = 0 gives
     |Av|^2 = 0), which has rs rows however many forms are tight, and is
     exact in int64: the coefficients are 0 or +-1, so each entry is at most
@@ -152,10 +158,11 @@ def certify(x, kind):
     x = check_point(x)
     r, s = len(x[0]), len(x)
     kind = normalize_kind(kind)
-    if not any(flatten(x)):
+    flat = flatten(x)
+    if not any(flat):
         raise ValueError("the zero point spans no ray")
     sys = inequality_system(r, s, kind)
-    vals = sys.values(x)
+    vals = sys.flat_values(flat)
     if not sys.holds(vals):
         raise ValueError(f"{format_point(x)} is not in {kind}")
     # the forms tight at x: both rows of each equality, since x is a member

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, output formats, determinism, schema."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -245,6 +246,16 @@ def test_sample_jsonl(tmp_path, capsys):
     assert all(set(rec) == {"spectra", "result", "mode", "max_violation"}
                and rec["mode"] == "equal" and rec["max_violation"] < 1e-9
                for rec in records)
+
+
+def test_sample_output_is_pinned(capsys):
+    # floats keep Python arithmetic in the violation; recorded before
+    # integer points moved to the float64 product
+    code, out, _ = run(capsys, "sample", "--spectra", "3,1,0;2,1,0.5",
+                       "--trials", "200", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c72fe223b96bf5e98754abbca67d665b77858cf6af360173fe7755ab53503206")
 
 
 def test_sample_spectra_of_unequal_length(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -272,6 +273,53 @@ def test_values_match_plain_python(x):
         assert list(vals) == _plain_values(sys, x)
         assert ({type(v) for v in vals} <= {float} if isinstance(x[0][0], float)
                 else not any(isinstance(v, float) for v in vals))
+
+
+# (r, s, M): points of rank (r, s) whose largest |entry| is M, so that the
+# bound rs * M of the single-point product is the value in the comment
+BOUND_CASES = {
+    "2^53-1": (1, 6361, (2**53 - 1) // 6361),  # 2**53 - 1 = 6361 * 69431 * 20394401
+    "2^53": (2, 4, 2**50),
+    "2^53+1": (1, 3, (2**53 + 1) // 3),
+    "2^62": (2, 4, 2**59),
+    "6*2^62": (2, 3, 2**62),  # the sum of two entries is past int64
+    "past-int64": (2, 3, 2**64 + 1),
+}
+
+
+def _bound_points(r, s, M):
+    """lambda^1 = nu = (M,...,M) and the other blocks 0, the same with the
+    last part of nu one lower, the negative of the first, every lambda^j
+    (M,...,M) and nu (-M,...,-M), where the trace form is rs * M itself,
+    and a seeded jumble of entries in [-M, M] with one entry -M."""
+    zero = ((0,) * r,) * (s - 2)
+    top = (M,) * r
+    rng = random.Random(s * M)
+    jumble = [rng.randint(-M, M) for _ in range(r * s)]
+    jumble[-1] = -M
+    return [(top,) + zero + (top,),
+            (top,) + zero + (top[:-1] + (M - 1,),),
+            ((-M,) * r,) + zero + ((-M,) * r,),
+            (top,) * (s - 1) + ((-M,) * r,),
+            unflatten(jumble, r)]
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_integer_values_at_the_float64_bound(case):
+    r, s, M = BOUND_CASES[case]
+    # the LR kinds at r = 1 hold a nonneg form for each of the s - 1 blocks
+    kinds = ("C", "EqC") if s > 4 else KINDS
+    for x in _bound_points(r, s, M):
+        # numpy integers stay exact too, also where their sums pass int64
+        ys = [x, tuple(tuple(map(np.int64, b)) for b in x)] if M < 2**63 else [x]
+        for y, kind in product(ys, kinds):
+            system = inequality_system(r, s, kind)
+            vals = system.values(y)
+            assert vals.dtype == (np.int64 if r * s * M < 2**53 else object)
+            assert list(vals) == _plain_values(system, x)
+            if kind in ("C", "CSL", "LR"):
+                assert member(y, kind) == _member_by_definition(x, kind)
+    assert member(_bound_points(r, s, M)[0], "C")
 
 
 def test_exact_verdict_and_rank():

@@ -387,6 +387,29 @@ def test_certify_gram_rank_is_the_row_rank(r, s, kind):
     assert min(ranks) < r * s - 1
 
 
+@st.composite
+def integer_members(draw):
+    """(x, kind): a nonzero integer combination of rays, a member of the
+    cone by convexity, with multiples small and up to 2**62, so that x is
+    evaluated in float64 and in Python ints."""
+    r, s, kind = draw(st.sampled_from([(3, 3, "LR"), (3, 3, "EqLR"),
+                                       (3, 3, "CSL"), (2, 4, "EqLR")]))
+    rays = enumerate_rays(r, s, kind)
+    picks = draw(st.lists(st.sampled_from(rays), min_size=1, max_size=4))
+    x = zero_point(r, s)
+    for ray in picks:
+        c = draw(st.one_of(st.integers(1, 3), st.integers(1, 2**62)))
+        x = point_add(x, tuple(tuple(c * v for v in b) for b in ray))
+    return x, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_members())
+def test_certify_rank_on_random_members(member_kind):
+    x, kind = member_kind
+    assert certify(x, kind).tight_rank == _row_rank(x, kind)
+
+
 def test_lr_equals_csl_plus_xj():
     for r in (1, 2, 3):
         lr = set(enumerate_rays(r, 3, "LR"))
