@@ -2,10 +2,10 @@
 
 For r <= 5 the Hilbert basis coincides with the primitive ray points; at
 r = 6 three extra indecomposable elements appear. The demo runs in about
-1.0 s on one core of a 2-vCPU machine, start-up included: an exhaustive
+0.5 s on one core of a 2-vCPU machine, start-up included: an exhaustive
 search over the 6 x 3 box (116,280 candidate tuples once containment
-prunes it), and about 0.4 s to check which of the 520 elements lie on
-extremal rays.
+prunes it) in about 0.1 s, and about 0.2 s to check which of the 520
+elements lie on extremal rays.
 """
 
 from lrcone.cones import format_point

@@ -5,12 +5,24 @@ The bounded search goes through the partitions nu of the r x B box and,
 for each, through the tuples (lambda^1, ..., lambda^{s-1}, nu) that can be
 members: where the forms say lambda^j <= nu (containment, as in EqLR), each
 lambda^j ranges over the box partitions contained in nu, otherwise over
-the whole box. It filters membership in batch, in chunks of a fixed byte
-size, through `InequalitySystem.members` (exact integer arithmetic, in
-float64 through BLAS under its stated bound), and keeps only the members.
-It then sieves them for indecomposables, layer by layer in weight,
-following the degree-layered reduction of Bruns & Ichim, "Normaliz:
-algorithms for affine monoids and rational cones", J. Algebra 324 (2010).
+the whole box. It decides membership on the box indices of the tuples,
+never on flat rows. Each form is linear, so its value at a tuple is the sum
+of its values at the s points that hold one block of the tuple each and
+zeros elsewhere. The search reads these from s block tables, one row of
+form values for each block j and box partition, made once by one exact
+product (`InequalitySystem.value_blocks`). Every coefficient is 0 or +-1
+and every entry is in [0, B], so every value and every partial sum of
+block values is at most rsB in absolute value, and the tables and their
+sums are exact in a small integer dtype (int16 while rsB < 2**15). For each
+nu the tables are summed over lambda^1, ..., lambda^{s-2} (the prefix),
+and the prefix sums are broadcast against the table rows of the choices of
+lambda^{s-1}, one block of at most VALUES_BLOCK_BYTES at a time; a tuple
+is a member when all its sums are >= 0. The members of each nu are kept as
+their positions in its grid of tuples, and their s index columns are built
+once, for every nu at the end. The search then sieves them for
+indecomposables, layer by layer in weight, following the degree-layered
+reduction of Bruns & Ichim, "Normaliz: algorithms for affine monoids and
+rational cones", J. Algebra 324 (2010).
 
 The sieve uses the semigroup identity: a member x is decomposable iff
 x - h is a nonzero member for some basis element h of smaller weight with
@@ -54,16 +66,12 @@ from .cones import (
 
 # The only memory guard: bytes the bounded search may allocate, as counted
 # by check_search_budget. (r,s,B) = (6,3,4) needs about 0.8 GB and runs;
-# (6,3,5) would need about 7.0 GB and is refused.
+# (6,3,5) would need about 7.1 GB and is refused.
 SEARCH_BYTE_BUDGET = 4 * 10**9
-# Bytes charged to one chunk of candidate rows in the membership mask: 8 a
-# row for each of its s box indices and 3 * 8 for each of its r*s entries
-# (the row itself, with room to spare for the float64 copy of each block),
-# so 18,396 rows at r = 6, s = 3. The mask's block of form values is
-# charged beside it. The sieve cuts its (element, row) pairs into chunks of
-# MASK_CHUNK_BYTES at 17 bytes a pair: the running sum of its
-# difference-table entries and the gather of the next block, an intp each,
-# and its member-table lookup, a bool.
+# Bytes charged to one chunk of the sieve, which cuts its (element, row)
+# pairs into chunks of MASK_CHUNK_BYTES at 17 bytes a pair: the running sum
+# of its difference-table entries and the gather of the next block, an intp
+# each, and its member-table lookup, a bool.
 MASK_CHUNK_BYTES = 2**23
 
 
@@ -80,30 +88,47 @@ def _choices(parts, nu, contained):
     return np.arange(len(parts))
 
 
-def _chunk_rows(r, s):
-    """Candidate rows per call of the membership mask, at most."""
-    return max(1, MASK_CHUNK_BYTES // (8 * (s + 3 * r * s)))
+def _sum_dtype(bound):
+    """The smallest signed integer dtype that holds every integer of
+    absolute value at most `bound`: int16 while bound < 2**15."""
+    return np.dtype(next(t for t in (np.int16, np.int32, np.int64)
+                         if bound <= np.iinfo(t).max))
+
+
+def _block_candidates(forms, dtype):
+    """Candidates in one block of sums: VALUES_BLOCK_BYTES at, for each of
+    `forms` forms, one sum in `dtype` and its comparison, a bool."""
+    return max(1, VALUES_BLOCK_BYTES // ((dtype.itemsize + 1) * forms))
 
 
 def check_search_budget(r, s, kind, B):
     """Raise ValueError, before anything is allocated, if the bounded
     search at (r, s, B) could need more than SEARCH_BYTE_BUDGET bytes.
 
-    The search builds, nu by nu, T = sum over nu of k(nu)^(s-1) candidate
-    rows, where k(nu) is the number of box partitions each lambda^j may take
-    beside nu, and keeps the members among them. The estimate counts one
-    chunk of MASK_CHUNK_BYTES (a mask chunk, then a sieve chunk: they take
-    turns) and the mask's block of form values, the index block of the
-    largest nu three times (the index grid, its choices, and those stacked
-    with nu), the sieve's member table ((m+1)^s bools, m the number of box
-    partitions) and difference table (s * m^2 intp), and T kept rows, each
-    counted three times at 8 * (s + r*s) bytes. The per-row charge is an
-    upper bound: a member is held as its s index columns, and the sieve
-    adds a few int64 a row (its weight, its position in weight order, its
-    member-table index) and flat rows for the basis only."""
+    The search goes, nu by nu, through T = sum over nu of k(nu)^(s-1)
+    candidate tuples, where k(nu) is the number of box partitions each
+    lambda^j may take beside nu, and keeps the members among them. With m
+    box partitions and f forms, the estimate counts:
+    - the s block tables, s * m * f sums in the `_sum_dtype` of rsB, and,
+      for the largest nu, its prefix sums (m^(s-2) * f) and the table rows
+      of its last choice block (m * f);
+    - one block of sums (VALUES_BLOCK_BYTES) and one sieve chunk
+      (MASK_CHUNK_BYTES), though they take turns;
+    - the arrays of the largest nu, at 3 * 8 * s bytes for each of its
+      m^(s-1) tuples: its candidate mask, the positions of its members and
+      their index columns;
+    - the sieve's member table ((m+1)^s bools) and difference table
+      (s * m^2 intp);
+    - T kept rows, each counted three times at 8 * (s + r*s) bytes. The
+      per-row charge is an upper bound: a member is held as its position in
+      its nu, then as its s index columns, and the sieve adds a few int64 a
+      row (its weight, its position in weight order, its member-table
+      index) and flat rows for the basis only."""
     contained = _contains(r, s, kind)
+    forms = len(inequality_system(r, s, kind).forms)
     m = math.comb(r + B, r)
-    tables = (m + 1) ** s + 8 * s * m * m
+    tables = ((m + 1) ** s + 8 * s * m * m
+              + _sum_dtype(r * s * B).itemsize * forms * (s * m + m ** (s - 2) + m))
 
     def need(rows, block):
         return (8 * 3 * (rows * (s + r * s) + s * block) + tables
@@ -127,9 +152,10 @@ def check_search_budget(r, s, kind, B):
             f"over the {SEARCH_BYTE_BUDGET / 1e9:.0f} GB budget")
 
 
-def _member_mask(flat_rows, r, s, kind):
-    """Boolean mask of cone membership for an integer array of flat points."""
-    return inequality_system(r, s, kind).members(flat_rows)
+def _member_mask(sums):
+    """Cone membership of each candidate of a block, from its row of `sums`:
+    the value of every form at the candidate, which must all be >= 0."""
+    return (sums >= 0).all(axis=1)
 
 
 def _flat_rows(parts, idx):
@@ -138,29 +164,71 @@ def _flat_rows(parts, idx):
     return parts[idx.T].reshape(-1, parts.shape[1] * len(idx))
 
 
-def _candidates(parts, s, contained, size):
-    """The box indices (lambda^1, ..., lambda^{s-1}, nu) of every candidate
-    tuple, as s x n int64 chunks: nu by nu, the block of each nu cut into
-    chunks of at most `size` columns."""
-    for v, nu in enumerate(parts):
-        choices = _choices(parts, nu, contained)
-        grid = choices[np.indices((len(choices),) * (s - 1)).reshape(s - 1, -1)]
-        block = np.vstack([grid, np.full((1, grid.shape[1]), v)])
-        for at in range(0, block.shape[1], size):
-            yield block[:, at:at + size]
+def _block_tables(system, parts, dtype):
+    """T[j, p]: the value of every form at the point that holds the box
+    partition parts[p] in block j and zeros elsewhere, in `dtype`, from one
+    exact product with the s * m such rows."""
+    s, f = system.s, len(system.forms)
+    rows = np.kron(np.eye(s, dtype=np.int64), parts)
+    tables = np.empty((len(rows), f), dtype=dtype)
+    for at, values in system.value_blocks(rows):
+        tables[at:at + len(values)] = values
+    return tables.reshape(s, len(parts), f)
+
+
+def _nu_members(tables, choices, v, size):
+    """The positions of the members among the candidates of the nu of box
+    index v, in the order of their grid (lambda^1 slowest), where each
+    lambda^j takes the box indices `choices`: a candidate's form values are
+    the sum of the table rows of its s blocks. The tables are summed over
+    every lambda^j but the last (the prefix), once for the nu; each block
+    of at most `size` candidates is the prefix sums of some tuples
+    broadcast against the rows of some choices of the last block."""
+    s, _, f = tables.shape
+    k = len(choices)
+    prefix = tables[-1, v][None]
+    for j in range(s - 2):
+        prefix = (prefix[:, None] + tables[j, choices][None]).reshape(-1, f)
+    last = tables[s - 2, choices]
+    rows, width = max(1, size // k), min(k, size)
+    ok = np.empty((len(prefix), k), dtype=bool)
+    for at in range(0, len(prefix), rows):
+        for c in range(0, k, width):
+            sums = prefix[at:at + rows, None] + last[None, c:c + width]
+            ok[at:at + rows, c:c + width] = _member_mask(
+                sums.reshape(-1, f)).reshape(sums.shape[:2])
+            del sums  # so that the next block is not made beside this one
+    return np.flatnonzero(ok)
 
 
 def _member_indices(r, s, kind, B):
     """The partitions of the r x B box, in ascending order, and the box
     indices of the nonzero lattice points of the cone in the box, as s x n
-    int64 columns in the order they are generated."""
+    intp columns, nu by nu in ascending order and in grid order within a
+    nu."""
     check_search_budget(r, s, kind, B)
     parts = np.array(partitions_in_box(r, B), dtype=np.int64)
-    chunks = _candidates(parts, s, _contains(r, s, kind), _chunk_rows(r, s))
-    idx = np.concatenate(
-        [chunk[:, _member_mask(_flat_rows(parts, chunk), r, s, kind)]
-         for chunk in chunks], axis=1)
-    # the zero point is a member of every cone and is generated first
+    system = inequality_system(r, s, kind)
+    # every coefficient is 0 or +-1 and every entry is in [0, B], so each
+    # form's value, and each partial sum of its block values, is at most
+    # rsB in absolute value
+    dtype = _sum_dtype(r * s * B)
+    tables = _block_tables(system, parts, dtype)
+    size = _block_candidates(len(system.forms), dtype)
+    contained = _contains(r, s, kind)
+    found = []
+    for v, nu in enumerate(parts):
+        choices = _choices(parts, nu, contained)
+        found.append((choices, _nu_members(tables, choices, v, size)))
+    # the index columns of every member, made once into one array
+    idx = np.empty((s, sum(len(hits) for _, hits in found)), dtype=np.intp)
+    start = 0
+    for v, (choices, hits) in enumerate(found):
+        cols = idx[:, start:start + len(hits)]
+        cols[:-1] = choices[np.stack(np.unravel_index(hits, (len(choices),) * (s - 1)))]
+        cols[-1] = v
+        start += len(hits)
+    # the zero point is a member of every cone and is found first
     return parts, idx[:, 1:]
 
 

@@ -1,7 +1,8 @@
 """Bounded Hilbert-basis search and indecomposability."""
 
+import hashlib
 import tracemalloc
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from lrcone import cones, hilbert
 from lrcone.cones import (
     flatten,
+    format_point,
     inequality_system,
     member,
     parse_point,
@@ -322,11 +324,12 @@ def test_huge_box_refused_before_it_is_listed(monkeypatch):
 
 def full_product_rows(r, s, kind, B):
     """The member rows in box order, from the full product of the box
-    partitions: the reference that the pruned, chunked search must match."""
+    partitions and `InequalitySystem.members`: the reference, independent
+    of the search's block tables, that the search must match."""
     part_arr = np.array(partitions_in_box(r, B), dtype=np.int64)
     flat = np.concatenate([part_arr[idx] for idx in
                            np.indices((len(part_arr),) * s).reshape(s, -1)], axis=1)
-    rows = flat[hilbert._member_mask(flat, r, s, kind)]
+    rows = flat[inequality_system(r, s, kind).members(flat)]
     return rows[rows.any(axis=1)]
 
 
@@ -343,57 +346,70 @@ def count_mask_rows(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("chunk_bytes", [hilbert.MASK_CHUNK_BYTES, 5000])
+# a block of 8 MiB holds all the candidates of any nu at these shapes; one
+# of 5000 bytes holds a few dozen, so the larger nu are cut into several;
+# one of 500 bytes holds fewer than the choices of the last lambda^j of the
+# larger nu, so their blocks cut those choices too
+@pytest.mark.parametrize("block_bytes", [2**23, 5000, 500])
 @pytest.mark.parametrize("kind", ["EqLR", "LR"])
 @pytest.mark.parametrize("r, s, B", [(1, 3, 3), (2, 3, 1), (2, 3, 3), (3, 3, 2),
                                      (3, 3, 3), (4, 3, 2), (1, 4, 3), (2, 4, 2),
                                      (2, 4, 3), (3, 4, 2)])
-def test_member_rows_match_full_product(monkeypatch, r, s, B, kind, chunk_bytes):
+def test_member_rows_match_full_product(monkeypatch, r, s, B, kind, block_bytes):
     expected = full_product_rows(r, s, kind, B)
-    # 5000 bytes is a few dozen rows per chunk, so the blocks of the larger
-    # nu are cut into several chunks
-    monkeypatch.setattr(hilbert, "MASK_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(hilbert, "VALUES_BLOCK_BYTES", block_bytes)
     sizes = count_mask_rows(monkeypatch)
     members = hilbert._box_rows(*hilbert._member_indices(r, s, kind, B))
     assert np.array_equal(members, expected)
     # the candidates of each nu: k(nu)^(s-1) tuples, k(nu) the box partitions
-    # contained in nu (EqLR) or all of them (LR); each block is cut into
-    # chunks of at most _chunk_rows, and no chunk spans two nu
+    # contained in nu (EqLR) or all of them (LR); a block holds at most the
+    # candidates whose sums under every form, an int16 and its comparison a
+    # bool each, fit block_bytes, no block spans two nu, and a nu is cut
+    # into several blocks only when its candidates do not fit one
     parts = np.array(partitions_in_box(r, B), dtype=np.int64)
     counts = (parts[:, None] <= parts[None]).all(axis=2).sum(axis=0)
     if kind == "LR":
         counts[:] = len(parts)
     blocks = (counts ** (s - 1)).tolist()
-    chunk = hilbert._chunk_rows(r, s)
-    assert max(sizes) <= chunk
-    assert sizes == [min(chunk, n - at) for n in blocks for at in range(0, n, chunk)]
-    if chunk_bytes == 5000 and (r, s, B) == (3, 3, 3):
-        # 20 rows a chunk, and nu = (3, 3, 3) has a block of 20^2 rows
-        assert chunk == 20 and len(sizes) > len(blocks)
+    limit = block_bytes // (3 * len(inequality_system(r, s, kind).forms))
+    assert max(sizes) <= limit
+    assert sum(sizes) == sum(blocks)
+    assert set(accumulate(blocks)) <= set(accumulate(sizes))
+    assert (len(sizes) > len(blocks)) == (max(blocks) > limit)
+    if block_bytes == 5000 and (r, s, B) == (3, 3, 3):
+        # 59 candidates a block under the 28 forms of (3,3,EqLR) and 75
+        # under the 22 of LR, and nu = (3, 3, 3) has 20^2 candidates
+        assert limit == {"EqLR": 59, "LR": 75}[kind] and len(sizes) > len(blocks)
 
 
 def test_member_mask_holds_a_slice_of_values():
-    # one full chunk at (6,3,B=4), where the largest block, of nu =
-    # (4, ..., 4), has 210^2 = 44,100 rows: 18,396 rows under 552 forms,
-    # whose values under every form at once would take 81 MB
-    r, s, kind = 6, 3, "EqLR"
-    parts = np.array(partitions_in_box(r, 4), dtype=np.int64)
-    size = hilbert._chunk_rows(r, s)
-    chunk = next(c for c in hilbert._candidates(parts, s, True, size)
-                 if c.shape[1] == size)
-    flat = np.concatenate([parts[i] for i in chunk], axis=1)
-    assert len(flat) == size == 18396
-    expected = hilbert._member_mask(flat, r, s, kind)  # caches the form matrix
+    # the largest nu at (6,3,B=4), (4, ..., 4), has 210^2 = 44,100
+    # candidates, whose int16 sums under the 552 forms would take 48.7 MB at
+    # once; a block of VALUES_BLOCK_BYTES holds 633 of them, at 3 bytes a
+    # form for the sum and its comparison
+    r, s, B = 6, 3, 4
+    system = inequality_system(r, s, "EqLR")
+    parts = np.array(partitions_in_box(r, B), dtype=np.int64)
+    dtype = hilbert._sum_dtype(r * s * B)
+    tables = hilbert._block_tables(system, parts, dtype)
+    size = hilbert._block_candidates(len(system.forms), dtype)
+    assert dtype == np.int16 and size == 633
+    m = len(parts)
+    choices = np.arange(m)
     tracemalloc.start()
     try:
-        got = hilbert._member_mask(flat, r, s, kind)
+        found = hilbert._nu_members(tables, choices, m - 1, size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(got, expected)
-    # one block of values (1 MiB) with its comparison and the float64 copy
-    # of its rows: not two blocks at once, nor a float64 copy of the chunk
-    assert peak < hilbert.MASK_CHUNK_BYTES // 4
+    grid = np.vstack([np.indices((m, m)).reshape(2, -1), np.full(m * m, m - 1)])
+    flat = hilbert._flat_rows(parts, grid)
+    assert np.array_equal(found, np.flatnonzero(system.members(flat)))
+    # one block of sums (699 kB) and its comparison (349 kB), beside the
+    # prefix sums and the rows of the last block (232 kB each), the mask of
+    # the nu (44 kB) and the positions of its members: not two blocks at
+    # once, nor the sums of the whole nu
+    assert peak < 2 * cones.VALUES_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("kind, candidates", [("EqLR", 37128), ("LR", 56**3)])
@@ -429,11 +445,20 @@ def test_non_extremal_basis_element_at_s5_r2():
     assert not is_extremal(x, "EqLR")
 
 
-@pytest.mark.parametrize("r, s, rays, nonextremal", [(3, 4, 125, 20), (2, 5, 102, 6)])
-def test_basis_beyond_s3_extends_the_rays(r, s, rays, nonextremal):
+# the digest is of the non-extremal elements in basis order, one
+# `format_point` a line, as the search over flat candidate rows found them;
+# it is left out of the test ids
+@pytest.mark.parametrize(
+    "r, s, rays, nonextremal, digest",
+    [(3, 4, 125, 20, "2f8fa9e8d4cf3d81b5a995ad93f92f20b0a8e411682251e031b271c5c042af3f"),
+     (2, 5, 102, 6, "dcd9e74cfbf367417606125f6fa90983db0310d87ca11ce97284fa081d07f472")],
+    ids=["3-4-125-20", "2-5-102-6"])
+def test_basis_beyond_s3_extends_the_rays(r, s, rays, nonextremal, digest):
     # at B = 4 every EqLR ray fits the box: the extremal basis elements are
     # exactly the rays, and the rest of the basis is not extremal
     basis = hilbert_basis_bounded(r, s, "EqLR", 4).points
     extremal = {p for p in basis if is_extremal(p, "EqLR")}
     assert extremal == set(enumerate_rays(r, s, "EqLR"))
     assert len(extremal) == rays and len(basis) - len(extremal) == nonextremal
+    text = "\n".join(format_point(p) for p in basis if p not in extremal)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
