@@ -328,9 +328,6 @@ class InequalitySystem:
         """Whether the form values `vals` are all >= 0."""
         return bool((vals >= 0).all())
 
-    def is_member(self, x):
-        return self.holds(self.values(x))
-
     @property
     def block_rows(self):
         """Rows in one block of VALUES_BLOCK_BYTES of form values, 8 each."""
@@ -345,7 +342,7 @@ class InequalitySystem:
             yield at, rows[at:at + self.block_rows].astype(dtype) @ forms
 
     def members(self, rows):
-        """`is_member` of each row of an integer array of flat points, as a
+        """Membership of each row of an integer array of flat points, as a
         boolean mask, one value block at a time."""
         ok = np.empty(len(rows), dtype=bool)
         for at, values in self.value_blocks(rows):

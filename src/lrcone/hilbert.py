@@ -276,7 +276,12 @@ def _sieve(parts, idx):
     table = np.zeros((m + 1) ** s, dtype=bool)
     table[radix @ idx] = True
     sub = _differences(parts) * radix[:, None, None]
-    weights = parts.sum(axis=1)[idx].sum(axis=0)
+    # summed one column at a time: a gather of all s columns at once is as
+    # large as `idx` itself
+    block_weights = parts.sum(axis=1)
+    weights = block_weights[idx[0]]
+    for j in range(1, s):
+        weights += block_weights[idx[j]]
     order = np.argsort(weights, kind="stable")
     cuts = np.flatnonzero(np.diff(weights[order])) + 1
     present = set(weights[order[np.r_[0, cuts]]].tolist())

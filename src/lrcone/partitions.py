@@ -15,14 +15,17 @@ since the product is commutative; Horn enumeration (`cones.enumerate_horn`)
 expands one product per multiset of factors for the same reason, and is
 what `lr_expand` and `multi_expand` serve.
 
+All coefficients come from one walk, `_lr_contents`: it fills the skew
+shape nu/lam in the order of `_cell_order` and counts the LR tableaux of
+every content kappa under a componentwise cap. A single c_{lam,mu}^nu, for
+`lr_coef` and `lr_expand`, is the walk capped at mu (`_lr_count`, cached):
+the only content under that cap with the shape's |nu| - |lam| cells is mu.
+
 `multi_coef` answers one target with no expansion. It sorts the factors
-largest first, lam then the rest, and walks the LR tableaux of nu/lam once
-(`_lr_contents`): the walk counts c_{lam,kappa}^nu for every content kappa
-at once, each kappa capped by the Weyl bound of the product of the rest,
-and the coefficient is the sum of c_{lam,kappa}^nu c_{rest}^kappa.
-`_lr_count`, the walk with one fixed content, counts for `lr_coef`,
-`lr_expand` and a `multi_coef` of two factors; both walks take their cell
-order from `_cell_order`.
+largest first, lam then the rest, and walks nu/lam once with each kappa
+capped by the Weyl bound of the product of the rest; the coefficient is
+the sum of c_{lam,kappa}^nu c_{rest}^kappa, recursing on the rest down to
+one factor, whose coefficient is 1 at nu itself and 0 elsewhere.
 """
 
 from functools import lru_cache
@@ -52,7 +55,7 @@ def pad(lam, length):
 
 
 def is_partition(lam):
-    return all(a >= b for a, b in zip(lam, lam[1:])) and (not lam or lam[-1] >= 0)
+    return not any(map(lt, lam, lam[1:])) and (not lam or lam[-1] >= 0)
 
 
 def weight(lam):
@@ -130,7 +133,7 @@ def _checked(lam, name):
     """lam trimmed, or ValueError naming the argument if lam is not a
     partition: the search bounds of `lr_expand` assume partitions."""
     lam = tuple(lam)
-    if any(map(lt, lam, lam[1:])) or (lam and lam[-1] < 0):
+    if not is_partition(lam):
         raise ValueError(f"{name} is not a partition: {lam}")
     # the zeros of a partition are its trailing ones
     return lam[:len(lam) - lam.count(0)]
@@ -159,49 +162,16 @@ def _cell_order(lam, nu):
     return right, above
 
 
-@lru_cache(maxsize=None)
-def _lr_count(lam, mu, nu):
-    """Count LR skew tableaux of shape nu/lam with content mu.
-
-    Cells are filled in the order of `_cell_order`, so the lattice condition
-    can be checked as a running prefix condition, and a cell's neighbours to
-    the right and above are filled before it.
-    """
-    right, above = _cell_order(lam, nu)
-    ncells = len(above)
-    nletters = len(mu)
-    counts = [0] * nletters
-    fill = [0] * ncells
-
-    def place(pos):
-        if pos == ncells:
-            return 1
-        a, b = above[pos], right[pos]
-        total = 0
-        lo = 0 if a < 0 else fill[a] + 1
-        hi = nletters if b < 0 else fill[b] + 1
-        for t in range(lo, hi):
-            if counts[t] >= mu[t]:
-                continue
-            if t > 0 and counts[t] >= counts[t - 1]:
-                continue  # lattice word violation
-            counts[t] += 1
-            fill[pos] = t
-            total += place(pos + 1)
-            counts[t] -= 1
-        return total
-
-    return place(0)
-
-
 def _lr_contents(lam, nu, cap):
     """{kappa: c_{lam,kappa}^nu} over the partitions kappa <= cap
     (componentwise) with a nonzero coefficient, kappa trimmed.
 
-    One walk over the LR skew tableaux of shape nu/lam, as in `_lr_count`,
-    but with the count of each letter t bounded by cap_t instead of fixed:
-    each tableau is counted under its content. Letters past len(nu) cannot
-    occur. lam must lie inside nu.
+    One walk over the LR skew tableaux of shape nu/lam, with the count of
+    each letter t at most cap_t: each tableau is counted under its content.
+    Cells are filled in the order of `_cell_order`, so the lattice condition
+    can be checked as a running prefix condition, and a cell's neighbours
+    to the right and above are filled before it. Letters past len(nu)
+    cannot occur. lam must lie inside nu.
     """
     right, above = _cell_order(lam, nu)
     ncells = len(above)
@@ -233,6 +203,14 @@ def _lr_contents(lam, nu, cap):
     return out
 
 
+@lru_cache(maxsize=None)
+def _lr_count(lam, mu, nu):
+    """c_{lam,mu}^nu, for trimmed mu and lam inside nu: the walk of nu/lam
+    with content capped at mu. A content under the cap is mu itself
+    exactly when its weight, the |nu| - |lam| cells of the shape, is |mu|."""
+    return _lr_contents(lam, nu, mu).get(mu, 0)
+
+
 def _weyl_bound(lams, rows):
     """A componentwise bound, over `rows` rows, on every kappa with
     c_{lams}^kappa nonzero: the d = 1 Horn (Weyl) bound
@@ -259,8 +237,6 @@ def lr_coef(lam, mu, nu):
         return 0
     if not contains(nu, lam) or not contains(nu, mu):
         return 0
-    if not mu:
-        return 1
     return _lr_count(lam, mu, nu)
 
 
@@ -343,18 +319,19 @@ def multi_expand(lams, cap):
 
 @lru_cache(maxsize=None)
 def _multi_coef_cached(lams, nu):
-    """c_{lams}^nu for trimmed factors sorted largest first (at least two).
+    """c_{lams}^nu for trimmed factors sorted largest first (at least one).
 
-    With lams = (lam, *rest), s_lam s_rest = sum over kappa of
-    c_{rest}^kappa s_lam s_kappa, so the coefficient is the sum over kappa
-    of c_{lam,kappa}^nu c_{rest}^kappa. One `_lr_contents` walk over nu/lam
-    gives every c_{lam,kappa}^nu at once, kappa capped by the Weyl bound of
-    the product of `rest`; two factors are one `_lr_count`."""
+    One factor gives 1 for nu itself and 0 otherwise. With lams = (lam,
+    *rest), s_lam s_rest = sum over kappa of c_{rest}^kappa s_lam s_kappa,
+    so the coefficient is the sum over kappa of c_{lam,kappa}^nu
+    c_{rest}^kappa. One `_lr_contents` walk over nu/lam gives every
+    c_{lam,kappa}^nu at once, kappa capped by the Weyl bound of the product
+    of `rest`."""
+    if len(lams) == 1:
+        return int(lams[0] == nu)
     lam, rest = lams[0], lams[1:]
     if sum(map(weight, lams)) != weight(nu) or not all(contains(nu, l) for l in lams):
         return 0
-    if len(rest) == 1:
-        return _lr_count(lam, rest[0], nu)
     cap = _weyl_bound(rest, len(nu))
     return sum(c * _multi_coef_cached(rest, kappa)
                for kappa, c in _lr_contents(lam, nu, cap).items())
@@ -371,8 +348,6 @@ def multi_coef(lams, nu):
     nu = _checked(nu, "nu")
     if not lams:
         raise ValueError("need at least one factor")
-    if len(lams) == 1:
-        return 1 if lams[0] == nu else 0
     return _multi_coef_cached(lams, nu)
 
 

@@ -500,29 +500,37 @@ def _grams(bits, system):
     return gram.astype(np.int64).reshape(-1, n, n)
 
 
+def _full_rank(bits, system):
+    """Whether the forms of each packed tight set in `bits` have rank
+    rs - 1, as a mask: the Gram matrix of the forms has rank rs - 1 mod p
+    or, failing that, by `exact_rank` (step 4 of the module docstring).
+    The ranks mod p are taken on a stack of Gram matrices,
+    `system.block_rows` at a time (their tight masks take 8 bytes a form,
+    as a block of values does). Beside the block the product holds the
+    system's pair table, m x (rs)^2 float64 entries cached with the system:
+    7.3 MB at r = 7, s = 3."""
+    full = system.dim - 1
+    out = np.zeros(len(bits), dtype=bool)
+    for at in range(0, len(bits), system.block_rows):
+        grams = _grams(bits[at:at + system.block_rows], system)
+        ranks = _ranks_mod_p(grams)
+        for i in np.flatnonzero(ranks < full):
+            ranks[i] = exact_rank(grams[i].tolist())
+        out[at:at + len(grams)] = ranks == full
+    return out
+
+
 def _extremal(pool, r, s, kind):
     """Which rows of `pool` span extremal rays of the cone, as a mask.
 
     `pool` holds distinct primitive nonzero int64 rows; ValueError if one
     lies outside the cone. The rows `_maximal` rejects are not extremal,
-    and a row it passes is extremal when the Gram matrix of its tight forms
-    has rank rs - 1 mod p or, failing that, by `exact_rank` (step 4 of the
-    module docstring). The ranks mod p are taken on a stack of Gram
-    matrices, `system.block_rows` at a time (their tight masks take 8 bytes
-    a form, as a block of values does). Beside the block the product holds
-    the system's pair table, m x (rs)^2 float64 entries cached with the
-    system: 7.3 MB at r = 7, s = 3."""
+    and `_full_rank` decides the rows it passes."""
     system = inequality_system(r, s, kind)
     bits, sizes = _tight_sets(pool, system)
     extremal = np.zeros(len(pool), dtype=bool)
     rows = np.fromiter(_maximal(bits, sizes, r * s - 1), dtype=np.intp)
-    for at in range(0, len(rows), system.block_rows):
-        block = rows[at:at + system.block_rows]
-        grams = _grams(bits[block], system)
-        ranks = _ranks_mod_p(grams)
-        for i in np.flatnonzero(ranks < r * s - 1):
-            ranks[i] = exact_rank(grams[i].tolist())
-        extremal[block] = ranks == r * s - 1
+    extremal[rows] = _full_rank(bits[rows], system)
     return extremal
 
 
@@ -580,7 +588,9 @@ def _cache_path(r, s, kind):
 def _read_cache(path, r, s, kind):
     """The ray set cached at `path`, or None if there is none or it fails a
     check: format, key and count match; points sorted, distinct, integer,
-    nonzero (`primitive` refuses 0), primitive, in the cone. Extremality is
+    nonzero and primitive (a gcd of 1); each one in the cone (`_tight_sets`
+    refuses a point outside it) with tight forms of rank rs - 1
+    (`_full_rank`), so extremal. Whether the set holds every ray is
     unchecked."""
     try:
         with open(path) as fh:
@@ -590,9 +600,13 @@ def _read_cache(path, r, s, kind):
         ok = ((data["format"], data["r"], data["s"], data["kind"], data["count"])
               == (CACHE_FORMAT, r, s, kind, len(rays))
               and all(a < b for a, b in zip(flats, flats[1:]))
-              and all(all(type(v) is int for v in f) and primitive(p) == p
-                      and member(p, kind) for f, p in zip(flats, rays)))
-    except (OSError, ValueError, KeyError, TypeError):
+              and all(type(v) is int for f in flats for v in f))
+        if ok:
+            pool = np.array(flats, dtype=np.int64).reshape(len(flats), r * s)
+            system = inequality_system(r, s, kind)
+            ok = ((np.gcd.reduce(pool, axis=1) == 1).all()
+                  and _full_rank(_tight_sets(pool, system)[0], system).all())
+    except (OSError, ValueError, KeyError, TypeError, OverflowError):
         return None
     return rays if ok else None
 

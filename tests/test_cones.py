@@ -354,7 +354,7 @@ def test_exact_verdict_and_rank():
 
 def test_member_shape_error():
     with pytest.raises(ValueError):
-        inequality_system(2, 3, "LR").is_member(((1,), (1,), (1,)))
+        inequality_system(2, 3, "LR").values(((1,), (1,), (1,)))
 
 
 def test_horn_slack():
@@ -444,7 +444,7 @@ def test_members_is_is_member_on_a_box(kind):
     # nonmembers of every kind, with negative entries for C and EqC
     sys = inequality_system(2, 3, kind)
     rows = np.array(list(product(range(-1, 3), repeat=6)), dtype=np.int64)
-    expected = [sys.is_member(unflatten(row, 2)) for row in rows.tolist()]
+    expected = [member(unflatten(row, 2), kind) for row in rows.tolist()]
     assert sys.members(rows).tolist() == expected
     assert any(expected) and not all(expected)
 
@@ -456,14 +456,14 @@ def test_members_is_exact_beyond_the_float64_bound():
     rows = np.array([(2**60, 1, 2**60 + 1), (2**60, 1, 2**60),
                      (2**60, 0, 2**60), (-1, 2**60 + 1, 2**60)], dtype=np.int64)
     expected = [True, False, True, False]
-    assert [sys.is_member(unflatten(row, 1)) for row in rows.tolist()] == expected
+    assert [member(unflatten(row, 1), "LR") for row in rows.tolist()] == expected
     assert sys.members(rows).tolist() == expected
     # and at (2, 3), near 2**62, on random offsets of members of EqLR
     eqlr = inequality_system(2, 3, "EqLR")
     rng = np.random.default_rng(0)
     base = np.array([(2, 1, 1, 1, 2, 2)], dtype=np.int64) * 2**60
     rows = base + rng.integers(-2, 3, size=(200, 6))
-    expected = [eqlr.is_member(unflatten(row, 2)) for row in rows.tolist()]
+    expected = [member(unflatten(row, 2), "EqLR") for row in rows.tolist()]
     assert eqlr.members(rows).tolist() == expected
     assert any(expected) and not all(expected)
 

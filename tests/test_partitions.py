@@ -138,6 +138,8 @@ def test_lr_coef_examples():
     assert lr_coef((1,), (1,), (2,)) == 1
     assert lr_coef((1,), (1,), (1, 1)) == 1
     assert lr_coef((2, 1), (2, 1), (3, 2, 1)) == 2
+    # an empty content is counted once, by the walk over an empty skew shape
+    assert lr_coef((), (), ()) == lr_coef((0,), (), (0, 0)) == 1
 
 
 def test_lr_coef_degree_mismatch():
@@ -177,6 +179,10 @@ def test_multi_coef_examples():
     assert multi_coef([(2, 1)], (2,)) == 0
     assert multi_coef([(1,), (1,)], (2,)) == 1
     assert multi_coef([(2,), (1,)], (3,)) == 1
+    # one factor ends the recursion; an empty factor is the unit
+    assert multi_coef([()], ()) == multi_coef([(), ()], (0,)) == 1
+    assert multi_coef([(2, 1), ()], (2, 1)) == multi_coef([(), (1,), ()], (1,)) == 1
+    assert multi_coef([(2, 1), ()], (2, 2)) == multi_coef([(), ()], (1,)) == 0
 
 
 def test_multi_coef_commutativity():
@@ -302,16 +308,23 @@ def test_slow_multi_coef_queries_are_the_fold(lams, nu, coef):
 
 def test_content_walk_is_lr_coef():
     # one walk over nu/lam counts c_{lam,kappa}^nu for every content kappa,
-    # uncapped (cap = nu) and under caps that cut it
-    for nu in partitions_in_box(4, 4):
-        nu = trim(nu)
-        for lam in map(trim, partitions_in_box(4, 3)):
-            if not contains(nu, lam):
-                continue
-            coefs = {kappa: lr_coef(lam, kappa, nu)
-                     for kappa in targets(sum(nu) - sum(lam), len(nu))}
-            coefs = {kappa: c for kappa, c in coefs.items() if c}
-            for cap in (nu, (2, 2, 1), (3, 1, 1, 1), (1, 1)):
-                assert _lr_contents(lam, nu, cap) == {
-                    kappa: c for kappa, c in coefs.items() if contains(cap, kappa)
-                }, (lam, nu, cap)
+    # uncapped (cap = nu) and under caps that cut it, against the Schur
+    # polynomial oracle: in `rows` variables the product s_lam s_kappa
+    # holds every s_nu with at most `rows` rows at its coefficient
+    for rows, width, lam_width in ((4, 3, 2), (3, 4, 3)):
+        @lru_cache(maxsize=None)
+        def expand(lam, kappa):
+            return oracle_expand((lam, kappa), rows)
+
+        for nu in map(trim, partitions_in_box(rows, width)):
+            for lam in map(trim, partitions_in_box(rows, lam_width)):
+                if not contains(nu, lam):
+                    continue
+                coefs = {kappa: expand(lam, kappa).get(nu, 0)
+                         for kappa in targets(sum(nu) - sum(lam), len(nu))}
+                coefs = {kappa: c for kappa, c in coefs.items() if c}
+                for cap in (nu, (2, 2, 1), (3, 1, 1, 1), (1, 1)):
+                    assert _lr_contents(lam, nu, cap) == {
+                        kappa: c for kappa, c in coefs.items() if contains(cap, kappa)
+                    }, (lam, nu, cap)
+

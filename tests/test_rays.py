@@ -637,8 +637,17 @@ def _corrupt(payload, how):
         payload["rays"][1] = payload["rays"][0]
     elif how == "zero":
         payload["rays"][0] = [[0, 0], [0, 0], [0, 0]]
+    elif how == "non-extremal":  # in the cone, on the face of two rays
+        first, second = payload["rays"][:2]
+        inside = primitive(tuple(tuple(a + b for a, b in zip(p, q))
+                                 for p, q in zip(first, second)))
+        payload["rays"] = sorted(payload["rays"] + [[list(b) for b in inside]],
+                                 key=flatten)
+        payload["count"] += 1
     elif how == "non-primitive":
         payload["rays"][-1] = [[2 * v for v in b] for b in payload["rays"][-1]]
+    elif how == "past int64":
+        payload["rays"][-1][-1][0] = 2**64
     elif how == "float":
         payload["rays"][-1] = [[float(v) for v in b] for b in payload["rays"][-1]]
     elif how == "shape":
@@ -647,9 +656,9 @@ def _corrupt(payload, how):
 
 
 @pytest.mark.parametrize("how", ["unversioned", "other format",
-                                 "non-member", "key", "count", "unsorted",
-                                 "duplicate", "zero", "non-primitive", "float",
-                                 "shape", "not json"])
+                                 "non-member", "non-extremal", "key", "count",
+                                 "unsorted", "duplicate", "zero", "non-primitive",
+                                 "past int64", "float", "shape", "not json"])
 def test_disk_cache_serves_only_what_it_can_check(tmp_path, monkeypatch,
                                                   capsys, how):
     monkeypatch.setenv(rays.CACHE_ENV, str(tmp_path))
@@ -673,8 +682,7 @@ def test_disk_cache_serves_a_valid_file(tmp_path, monkeypatch):
     found = enumerate_rays(3, 3, "EqLR")
     rays._RAY_MEMO.clear()
     # a recomputation would fail
-    monkeypatch.setattr(rays, "exact_rank", None)
-    monkeypatch.setattr(rays, "_ranks_mod_p", None)
+    monkeypatch.setattr(rays, "_candidate_pool", None)
     assert enumerate_rays(3, 3, "EqLR") == found
     assert len(list(tmp_path.iterdir())) == 6  # LR and EqLR at r = 1, 2, 3
 
@@ -787,7 +795,7 @@ def test_value_blocks_of_one_row(monkeypatch):
     box = np.indices((2,) * 9).reshape(9, -1).T
     monkeypatch.setattr(cones, "VALUES_BLOCK_BYTES", 1)
     assert system.block_rows == 1
-    expected = [system.is_member(unflatten(row, 3)) for row in box.tolist()]
+    expected = [member(unflatten(row, 3), "EqLR") for row in box.tolist()]
     assert system.members(box).tolist() == expected
     assert any(expected) and not all(expected)
     bits, sizes = rays._tight_sets(pool, system)
