@@ -399,7 +399,7 @@ def decomposition_witness(x, kind):
     r = len(x[0])
     system = inequality_system(r, len(x), kind)
     vx = system.flat_values(flat)
-    if not system.holds(vx):
+    if not (vx >= 0).all():
         raise ValueError("not a lattice point of the semigroup")
     # every candidate lies between 0 and x entrywise, so the dtype of x
     # serves each chunk too

@@ -7,19 +7,20 @@ Coefficients are computed by counting Littlewood-Richardson skew tableaux
 which is stable by construction: trailing zeros never matter. The
 coefficient entry points refuse arguments that are not partitions.
 
-`lr_expand` lists only the targets nu that can have a nonzero coefficient
-c_{sigma,mu}^nu: at most len(sigma) + len(mu) rows, row i at least
-max(sigma_i, mu_i) and at most the d = 1 Horn bound
-nu_{a+b} <= sigma_a + mu_b. `multi_expand` folds the factors largest first,
-since the product is commutative; Horn enumeration (`cones.enumerate_horn`)
-expands one product per multiset of factors for the same reason, and is
-what `lr_expand` and `multi_expand` serve.
-
 All coefficients come from one walk, `_lr_contents`: it fills the skew
 shape nu/lam in the order of `_cell_order` and counts the LR tableaux of
 every content kappa under a componentwise cap. A single c_{lam,mu}^nu, for
-`lr_coef` and `lr_expand`, is the walk capped at mu (`_lr_count`, cached):
-the only content under that cap with the shape's |nu| - |lam| cells is mu.
+`lr_coef`, is the walk capped at mu (`_lr_count`, cached): the only content
+under that cap with the shape's |nu| - |lam| cells is mu.
+
+`lr_expand` reads every target of c_{sigma,mu}^* under a cap off one walk,
+by Grassmannian duality: in the rectangle around the cap,
+c_{sigma,mu}^nu = c_{sigma,nu'}^{mu'} with ' the complement, so the
+contents of mu'/sigma are the complements of the targets. `multi_expand`
+folds it over the factors largest first, since the product is
+commutative; Horn enumeration (`cones.enumerate_horn`) expands one product
+per multiset of factors for the same reason, and is what `lr_expand` and
+`multi_expand` serve.
 
 `multi_coef` answers one target with no expansion. It sorts the factors
 largest first, lam then the rest, and walks nu/lam once with each kappa
@@ -29,7 +30,7 @@ one factor, whose coefficient is 1 at nu itself and 0 elsewhere.
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import lt
 
 
@@ -131,7 +132,7 @@ def omega(j, r):
 
 def _checked(lam, name):
     """lam trimmed, or ValueError naming the argument if lam is not a
-    partition: the search bounds of `lr_expand` assume partitions."""
+    partition: the tableau walk assumes partitions."""
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"{name} is not a partition: {lam}")
@@ -246,48 +247,31 @@ def lr_expand(sigma, mu, cap):
 
     Returns a tuple of (nu, coefficient) pairs with nu trimmed and the
     coefficient nonzero, nu in reverse lexicographic order; `cap` bounds the
-    search (componentwise), typically the final target partition or a
+    targets (componentwise), typically the final target partition or a
     rectangle. sigma and mu must be partitions.
 
-    Only targets that can have a nonzero coefficient are counted: nu has
-    weight |sigma| + |mu| and at most len(sigma) + len(mu) rows, row i lies
-    between max(sigma_i, mu_i) and the d = 1 Horn (Weyl) bound
-    min over a + b = i of sigma_a + mu_b (rows from 0), and each row leaves
-    enough boxes for the lower bounds of the rows below it. When the weight
-    equals |cap| the only target is cap itself, counted with no search.
+    Every target lies in the a x b rectangle around cap (a rows, b columns).
+    Inside it, with ' the complement in the rectangle,
+    c_{sigma,mu}^nu = c_{sigma,nu'}^{mu'}: both are the triple intersection
+    number of the Schubert classes of sigma, mu and nu' on the Grassmannian
+    of a-planes in C^{a+b} (Fulton, "Eigenvalues, invariant factors, highest
+    weights, and Schubert calculus", Bull. AMS 37 (2000)). So one walk over
+    mu'/sigma, its contents kappa capped by the rectangle, counts every
+    target nu = kappa' at once.
     """
     sigma, mu, cap = trim(sigma), trim(mu), trim(cap)
-    total = weight(sigma) + weight(mu)
-    if total > weight(cap) or not contains(cap, sigma) or not contains(cap, mu):
+    if not contains(cap, sigma) or not contains(cap, mu):
         return ()
-    if total == weight(cap):
-        c = _lr_count(sigma, mu, cap)
-        return ((cap, c),) if c else ()
-    rows = min(len(cap), len(sigma) + len(mu))
-    lo = list(map(max, pad(sigma, rows), pad(mu, rows)))
-    hi = list(map(min, cap, _weyl_bound((sigma, mu), rows)))
-    # need[i]: boxes that rows i, i+1, ... take at least
-    need = list(accumulate(reversed(lo), initial=0))[::-1]
+    a, b = len(cap), max(cap, default=0)
+    comp = tuple(b - v for v in reversed(pad(mu, a)))
+    if not contains(comp, sigma):
+        return ()
     out = []
-
-    def rec(prefix, i, remaining):
-        if remaining == 0:
-            nu = trim(prefix)
-            c = _lr_count(sigma, mu, nu)
-            if c:
-                out.append((nu, c))
-            return
-        if i == rows:
-            return
-        top = min(hi[i], prefix[-1] if prefix else hi[i], remaining - need[i + 1])
-        for part in range(top, lo[i] - 1, -1):
-            # the remaining boxes must fit in the rows still available
-            if remaining - part > part * (rows - i - 1):
-                break
-            rec(prefix + [part], i + 1, remaining - part)
-
-    rec([], 0, total)
-    return tuple(out)
+    for kappa, c in _lr_contents(sigma, comp, (b,) * a).items():
+        nu = trim(b - v for v in reversed(pad(kappa, a)))
+        if contains(cap, nu):
+            out.append((nu, c))
+    return tuple(sorted(out, reverse=True))
 
 
 def multi_expand(lams, cap):

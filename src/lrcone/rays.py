@@ -163,7 +163,7 @@ def certify(x, kind):
         raise ValueError("the zero point spans no ray")
     sys = inequality_system(r, s, kind)
     vals = sys.flat_values(flat)
-    if not sys.holds(vals):
+    if not (vals >= 0).all():
         raise ValueError(f"{format_point(x)} is not in {kind}")
     # the forms tight at x: both rows of each equality, since x is a member
     tight = sys.int_rows[vals == 0]
@@ -572,10 +572,21 @@ def facet_rays(h, kind):
 
 _RAY_MEMO = {}
 CACHE_ENV = "LRCONE_CACHE_DIR"
-# the "format" field of every cache file; a file without this value, such as
-# one written before the field existed, is a miss. Change it whenever the
-# payload or the meaning of a cached ray set changes.
-CACHE_FORMAT = 1
+
+
+@lru_cache(maxsize=None)
+def _code_digest():
+    """The "format" field of every cache file: a sha256 of the sources that
+    compute and check a ray set. A file written by other code, or before
+    the field existed, is a miss. Computed, and hashlib imported, only when
+    a cache is in use, so that import time does not change."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for name in ("rays.py", "cones.py", "partitions.py"):
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def _cache_path(r, s, kind):
@@ -587,10 +598,10 @@ def _cache_path(r, s, kind):
 
 def _read_cache(path, r, s, kind):
     """The ray set cached at `path`, or None if there is none or it fails a
-    check: format, key and count match; points sorted, distinct, integer,
-    nonzero and primitive (a gcd of 1); each one in the cone (`_tight_sets`
-    refuses a point outside it) with tight forms of rank rs - 1
-    (`_full_rank`), so extremal. Whether the set holds every ray is
+    check: format (the code digest), key and count match; points sorted,
+    distinct, integer, nonzero and primitive (a gcd of 1); each one in the
+    cone (`_tight_sets` refuses a point outside it) with tight forms of rank
+    rs - 1 (`_full_rank`), so extremal. Whether the set holds every ray is
     unchecked."""
     try:
         with open(path) as fh:
@@ -598,7 +609,7 @@ def _read_cache(path, r, s, kind):
         rays = tuple(check_point(p, r, s) for p in data["rays"])
         flats = [flatten(p) for p in rays]
         ok = ((data["format"], data["r"], data["s"], data["kind"], data["count"])
-              == (CACHE_FORMAT, r, s, kind, len(rays))
+              == (_code_digest(), r, s, kind, len(rays))
               and all(a < b for a, b in zip(flats, flats[1:]))
               and all(type(v) is int for f in flats for v in f))
         if ok:
@@ -661,7 +672,7 @@ def enumerate_rays(r, s, kind):
                      for row in pool[_extremal(pool, r, s, kind)].tolist())
     _RAY_MEMO[key] = rays
     if path:
-        _write_cache(path, {"format": CACHE_FORMAT, **rayset_json(r, s, kind, rays)})
+        _write_cache(path, {"format": _code_digest(), **rayset_json(r, s, kind, rays)})
     return rays
 
 

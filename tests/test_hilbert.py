@@ -72,7 +72,7 @@ def loop_witness(x, kind):
         if not 0 < sum(map(sum, y)) <= half:
             continue
         vy = system.values(y)
-        if system.holds(vy) and system.holds(vx - vy):
+        if (vy >= 0).all() and (vx - vy >= 0).all():
             return (y, point_sub(x, y))
     return None
 

@@ -229,20 +229,33 @@ def test_multi_coef_refuses_non_partitions(lams, nu, bad):
 
 
 def test_lr_expand_pruned_matches_oracle():
-    # every sigma and mu in a 3 x 3 box, under caps that cut the search: a
-    # rectangle, a staircase, and two targets of the full weight: sigma + mu,
-    # whose coefficient is 1, and one row. All caps have at most 4 rows, so
-    # the oracle runs in 4 variables.
+    # every sigma and mu in a 3 x 3 box, under caps that cut the targets: two
+    # rectangles, a staircase, two targets of the full weight: sigma + mu,
+    # whose coefficient is 1, and one row, and the empty cap. In the 4 x 4
+    # box, sigma need not lie inside the complement of mu (sigma = (3,3,3),
+    # mu = (2,2,2)), and then no target does. All caps have at most 4 rows,
+    # so the oracle runs in 4 variables. The targets come in reverse
+    # lexicographic order.
+    def under(want, cap):
+        return tuple(sorted(((nu, c) for nu, c in want.items()
+                             if c and contains(cap, nu)), reverse=True))
+
     parts = partitions_in_box(3, 3)
     for sigma, mu in product(parts, repeat=2):
         want = oracle_expand([sigma, mu], 4)
         total = sum(sigma) + sum(mu)
-        caps = [(4, 4, 4), (4, 3, 2, 1), tuple(a + b for a, b in zip(sigma, mu)),
-                (total,)]
+        caps = [(4, 4, 4), (4, 4, 4, 4), (4, 3, 2, 1),
+                tuple(a + b for a, b in zip(sigma, mu)), (total,), ()]
         for cap in caps:
-            got = dict(lr_expand(sigma, mu, cap))
-            assert got == {nu: c for nu, c in want.items()
-                           if c and contains(cap, nu)}, (sigma, mu, cap)
+            assert lr_expand(sigma, mu, cap) == under(want, cap), (sigma, mu, cap)
+    assert lr_expand((3, 3, 3), (2, 2, 2), (4, 4, 4, 4)) == ()
+    assert lr_expand((), (), ()) == (((), 1),)
+    # caps with more rows than len(sigma) + len(mu), whose last rows no
+    # target reaches
+    for sigma, mu in product(partitions_in_box(2, 2), repeat=2):
+        want = oracle_expand([sigma, mu], 6)
+        for cap in ((3,) * 6, (2, 2, 2, 1, 1, 1)):
+            assert lr_expand(sigma, mu, cap) == under(want, cap), (sigma, mu, cap)
 
 
 def test_three_factor_multi_coef_matches_oracle():

@@ -551,7 +551,7 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
     rays._RAY_MEMO.clear()
     found = enumerate_rays(2, 3, "EqLR")
     cached = json.loads((tmp_path / "rays-r2-s3-eqlr.json").read_text())
-    assert cached == {"format": rays.CACHE_FORMAT,
+    assert cached == {"format": rays._code_digest(),
                       **rays.rayset_json(2, 3, "EqLR", found)}
     rays._RAY_MEMO.clear()
     assert enumerate_rays(2, 3, "EqLR") == found  # read back from disk
@@ -623,8 +623,8 @@ def test_rank_alone_decides_one_row_pools(monkeypatch, modulus):
 def _corrupt(payload, how):
     if how == "unversioned":  # as written before the format field existed
         del payload["format"]
-    elif how == "other format":
-        payload["format"] = rays.CACHE_FORMAT + 1
+    elif how == "another code digest":  # as written by other code
+        payload["format"] = "0" * 64
     elif how == "non-member":  # 9,9;0,0;1,0 breaks containment nu >= lam
         payload.update(count=1, rays=[[[9, 9], [0, 0], [1, 0]]])
     elif how == "key":
@@ -655,7 +655,7 @@ def _corrupt(payload, how):
     return json.dumps(payload)
 
 
-@pytest.mark.parametrize("how", ["unversioned", "other format",
+@pytest.mark.parametrize("how", ["unversioned", "another code digest",
                                  "non-member", "non-extremal", "key", "count",
                                  "unsorted", "duplicate", "zero", "non-primitive",
                                  "past int64", "float", "shape", "not json"])
@@ -664,7 +664,7 @@ def test_disk_cache_serves_only_what_it_can_check(tmp_path, monkeypatch,
     monkeypatch.setenv(rays.CACHE_ENV, str(tmp_path))
     monkeypatch.setattr(rays, "_RAY_MEMO", {})
     found = enumerate_rays(2, 3, "EqLR")
-    expected = {"format": rays.CACHE_FORMAT, **rays.rayset_json(2, 3, "EqLR", found)}
+    expected = {"format": rays._code_digest(), **rays.rayset_json(2, 3, "EqLR", found)}
     path = tmp_path / "rays-r2-s3-eqlr.json"
     text = "{not json" if how == "not json" else _corrupt(json.loads(
         json.dumps(expected)), how)
