@@ -143,6 +143,8 @@ def cmd_hilbert(args):
 
 
 def cmd_tables(args):
+    if args.max_r < 1:
+        raise ValueError(f"need --max-r >= 1, got {args.max_r}")
     counts = args.which == "hilbert-counts"
     _check_ceilings(args, "hilbert-counts" if counts else "rays",
                     ("--max-r", args.max_r), args.s)

@@ -13,8 +13,9 @@ has their rank, as step 4 shows). `enumerate_rays` and `facet_rays` run
 the same steps on whole int64 arrays of flat points:
 
 1. Images. `ind_hat` is linear, so on the facet of h it is one integer
-   (rs x rs) matrix M_h (`_induction_matrix`, cached per datum). One
-   product maps the stacked rays of both smaller cones.
+   (rs x rs) matrix M_h (`_induction_matrix`, cached per datum). The
+   facets whose subsets have d elements share the rays of their two smaller
+   cones, so one product maps those stacked rays by every such M_h at once.
 2. Pool. Every candidate is one row. Zero rows are dropped, each row is
    divided by its gcd, and a lexsort on the columns dedups the rows and
    sorts them in the order `flatten` sorts points.
@@ -29,14 +30,16 @@ the same steps on whole int64 arrays of flat points:
    rank rs - 1, its null space would be span(p); q is in it, so q = c p
    with c > 0, and c = 1 since both are primitive, a contradiction. The
    rows are checked in descending |T| against the sets passed so far.
-   Each row that passes is decided on the Gram matrix G = A^T A of its
+   Each row v that passes is decided on the Gram matrix G = A^T A of its
    tight forms A, which has the rank of A (A^T A x = 0 gives |Ax|^2 = 0)
-   and only rs rows. The Gram matrices of the passed rows are stacked,
-   and one elimination mod the prime p = 2**31 - 1 takes every rank at
-   once. A rank of rs - 1 mod p is a proof: the rank over Q is at least
-   the rank mod p, and at most rs - 1, since every form in A is tight at
-   the row, so G sends the row to 0. A row whose rank mod p falls short
-   is decided by `exact_rank`.
+   and only rs rows. G v = 0, as every form in A is tight at v, and
+   x^T (G + v v^T) x = |Ax|^2 + (v.x)^2, so G + v v^T is nonsingular
+   exactly when the null space of A is span(v), that is, when A has rank
+   rs - 1. The matrices G + v v^T of the passed rows are stacked, and one
+   elimination mod the prime p = 67,108,859 tests them all. A nonzero
+   determinant mod p is nonzero over Q, so a matrix nonsingular mod p is a
+   proof. A row whose matrix is singular mod p is decided by `exact_rank`
+   on G.
 """
 
 import json
@@ -45,7 +48,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -152,9 +155,9 @@ def certify(x, kind):
     The rank is that of the Gram matrix G = A^T A (A^T A v = 0 gives
     |Av|^2 = 0), which has rs rows however many forms are tight, and is
     exact in int64: the coefficients are 0 or +-1, so each entry is at most
-    the number of forms. `exact_rank` decides it alone: a rank mod p in
-    front, as the pipeline's stacks have (step 4 of the module docstring),
-    costs more than it saves on one matrix."""
+    the number of forms. `exact_rank` decides it alone: a test mod p in
+    front, as the pipeline's stacks of G + v v^T have (step 4 of the module
+    docstring), costs more than it saves on one matrix."""
     x = check_point(x)
     r, s = len(x[0]), len(x)
     kind = normalize_kind(kind)
@@ -391,18 +394,27 @@ def _smaller_rays(d, r, s, kind):
     return rows
 
 
-def _facet_images(h, rows):
-    """The induction images of the rows of `_smaller_rays`, as int64 rows
-    (OverflowError if an entry does not fit)."""
-    induce = _induction_matrix(h).T
+def _facet_images(hs, rows):
+    """The induction images of the rows of `_smaller_rays` on the facets of
+    the Horn data `hs`, which share their d, as int64 rows: the images on
+    hs[0], then those on hs[1], and so on (OverflowError if an entry does
+    not fit). One product maps the rows by the stacked matrices
+    [M_h1^T | M_h2^T | ...], in one `exact_dtype` for the group."""
+    n = rows.shape[1]
+    induce = np.concatenate([_induction_matrix(h).T for h in hs], axis=1)
     dtype = exact_dtype(rows, induce)
-    return (rows.astype(dtype) @ induce.astype(dtype)).astype(np.int64, copy=False)
+    images = rows.astype(dtype) @ induce.astype(dtype)
+    images = images.reshape(-1, len(hs), n).swapaxes(0, 1)
+    return images.astype(np.int64, order="C").reshape(-1, n)
 
 
 def _primitive_rows(rows):
     """The nonzero rows of an int64 array, each divided by its gcd."""
     g = np.gcd.reduce(rows, axis=1)
-    return rows[g > 0] // g[g > 0, None]
+    nonzero = g > 0
+    out = rows[nonzero]
+    out //= g[nonzero, None]
+    return out
 
 
 def _unique_rows(rows):
@@ -458,36 +470,51 @@ def _maximal(bits, sizes, least):
             yield i
 
 
-# The prime of `_ranks_mod_p`; below 2**31, so that the product of two
-# residues is below 2**62.
-RANK_MODULUS = 2**31 - 1
+# The prime of `_nonsingular_mod_p`, the largest below 2**26: the product of
+# two residues is below 2**52, exact in float64.
+RANK_MODULUS = 67_108_859
 
 
-def _ranks_mod_p(mats):
-    """The rank over GF(p), p = RANK_MODULUS, of each matrix of a (k, n, n)
-    int64 stack, by one elimination vectorized over the k matrices.
+def _mod_p(x, p):
+    """x mod p, in place, for a float64 array of integers below 2**52 in
+    size: x - p * floor(x / p), with x / p taken as x times 1 / p, which is
+    faster than a division. Should that quotient round across an integer,
+    one correction each way still puts every residue in [0, p)."""
+    q = x * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
 
-    Column by column, each matrix with a nonzero entry there takes the
-    first such row as pivot, and every row becomes pivot * row - entry *
-    pivot row, mod p. That scales each row by the pivot, which is nonzero
-    mod a prime, so no inverse is needed; the pivot row itself becomes
-    zero, and each pivot adds one to the rank. Entries stay in [0, p), so
-    with p < 2**31 each product is below 2**62 and each difference of two
-    lies in int64."""
-    p = RANK_MODULUS
-    mat = mats % p
+
+def _nonsingular_mod_p(mats):
+    """Whether each matrix of a (k, n, n) int64 stack is nonsingular mod the
+    prime p = RANK_MODULUS, as a mask, by one elimination vectorized over
+    the stack.
+
+    The residues are float64 in [0, p), so each product of two is below
+    2**52 and exact, and so is the difference of two. Column by column,
+    each matrix swaps its first row with a nonzero entry there to the
+    front, replaces every other row by pivot * row - entry * pivot row (a
+    scaling by the pivot, nonzero mod p, so no inverse is needed), and drops
+    the pivot row and the column. The stack shrinks a row and a column a
+    step, about n^3 / 3 entry updates in all. A matrix with no pivot in
+    some column is singular mod p."""
+    p = float(RANK_MODULUS)
+    mat = (mats % RANK_MODULUS).astype(np.float64)
     at = np.arange(len(mat))
-    rank = np.zeros(len(mat), dtype=np.int64)
-    for c in range(mat.shape[2]):
-        col = mat[:, :, c]
-        nonzero = col != 0
-        found = nonzero.any(axis=1)
-        pivot_row = mat[at, nonzero.argmax(axis=1)]
-        pivot = np.where(found, pivot_row[:, c], 1)
-        mat = (pivot[:, None, None] * mat
-               - col[:, :, None] * pivot_row[:, None, :]) % p
-        rank += found
-    return rank
+    ok = np.ones(len(mat), dtype=bool)
+    for _ in range(mat.shape[1]):
+        first = (mat[:, :, 0] != 0).argmax(axis=1)
+        pivot = mat[at, first]
+        ok &= pivot[:, 0] != 0
+        mat[at, first] = mat[:, 0]
+        rest = mat[:, 1:, 1:] * pivot[:, :1, None]
+        rest -= mat[:, 1:, :1] * pivot[:, None, 1:]
+        mat = _mod_p(rest, p)
+    return ok
 
 
 def _grams(bits, system):
@@ -500,23 +527,26 @@ def _grams(bits, system):
     return gram.astype(np.int64).reshape(-1, n, n)
 
 
-def _full_rank(bits, system):
-    """Whether the forms of each packed tight set in `bits` have rank
-    rs - 1, as a mask: the Gram matrix of the forms has rank rs - 1 mod p
-    or, failing that, by `exact_rank` (step 4 of the module docstring).
-    The ranks mod p are taken on a stack of Gram matrices,
-    `system.block_rows` at a time (their tight masks take 8 bytes a form,
-    as a block of values does). Beside the block the product holds the
-    system's pair table, m x (rs)^2 float64 entries cached with the system:
-    7.3 MB at r = 7, s = 3."""
+def _full_rank(rows, bits, system):
+    """Whether the forms tight at each row v of `rows`, packed in `bits`,
+    have rank rs - 1, as a mask (step 4 of the module docstring): G + v v^T
+    is nonsingular mod p, for G the Gram matrix of the forms, or failing
+    that G has rank rs - 1 by `exact_rank`. v is reduced mod p before v v^T
+    is formed, so no entry of it wraps in int64.
+
+    The Gram matrices are stacked `system.block_rows` at a time (their tight
+    masks take 8 bytes a form, as a block of values does). Beside the block
+    the product holds the system's pair table, m x (rs)^2 float64 entries
+    cached with the system: 7.3 MB at r = 7, s = 3."""
     full = system.dim - 1
-    out = np.zeros(len(bits), dtype=bool)
+    out = np.empty(len(bits), dtype=bool)
     for at in range(0, len(bits), system.block_rows):
         grams = _grams(bits[at:at + system.block_rows], system)
-        ranks = _ranks_mod_p(grams)
-        for i in np.flatnonzero(ranks < full):
-            ranks[i] = exact_rank(grams[i].tolist())
-        out[at:at + len(grams)] = ranks == full
+        v = rows[at:at + len(grams)] % RANK_MODULUS
+        ok = _nonsingular_mod_p(grams + v[:, :, None] * v[:, None, :])
+        for i in np.flatnonzero(~ok):
+            ok[i] = exact_rank(grams[i].tolist()) == full
+        out[at:at + len(grams)] = ok
     return out
 
 
@@ -530,7 +560,7 @@ def _extremal(pool, r, s, kind):
     bits, sizes = _tight_sets(pool, system)
     extremal = np.zeros(len(pool), dtype=bool)
     rows = np.fromiter(_maximal(bits, sizes, r * s - 1), dtype=np.intp)
-    extremal[rows] = _full_rank(bits[rows], system)
+    extremal[rows] = _full_rank(pool[rows], bits[rows], system)
     return extremal
 
 
@@ -558,7 +588,7 @@ def facet_rays(h, kind):
         raise ValueError("facet decomposition applies to LR and EqLR only")
     check_horn_work(h.r, h.s)
     h.check()
-    images = _facet_images(h, _smaller_rays(h.d, h.r, h.s, kind))
+    images = _facet_images([h], _smaller_rays(h.d, h.r, h.s, kind))
     nonzero = _primitive_rows(images)
     pool, first, where = _unique_rows(nonzero)
     extremal = _extremal(pool, h.r, h.s, kind)
@@ -616,7 +646,8 @@ def _read_cache(path, r, s, kind):
             pool = np.array(flats, dtype=np.int64).reshape(len(flats), r * s)
             system = inequality_system(r, s, kind)
             ok = ((np.gcd.reduce(pool, axis=1) == 1).all()
-                  and _full_rank(_tight_sets(pool, system)[0], system).all())
+                  and _full_rank(pool, _tight_sets(pool, system)[0],
+                                 system).all())
     except (OSError, ValueError, KeyError, TypeError, OverflowError):
         return None
     return rays if ok else None
@@ -626,18 +657,24 @@ def _candidate_pool(r, s, kind):
     """The distinct candidate rays of LR or EqLR, as primitive int64 rows
     in the order `flatten` sorts points: the omega-tuples in the cone, every
     Horn facet's type I rays and induction images, and for EqLR the rays
-    of the LR face."""
+    of the LR face. The images are taken once per d, for all the facets
+    whose subsets have d elements."""
     n = r * s
+    data = all_horn_data(r, s)
     # an omega-tuple whose k's sum past l lies outside LR
     special = _rows(special_rays(r, s), n)
-    pool = [special[inequality_system(r, s, kind).members(special)]]
-    smaller = {d: _smaller_rays(d, r, s, kind) for d in range(1, r)}
-    for h in all_horn_data(r, s):
-        pool.append(_rows([p for _, p in _type1_rays(h)], n))
-        pool.append(_facet_images(h, smaller[h.d]))
+    pool = [special[inequality_system(r, s, kind).members(special)],
+            _rows([p for h in data for _, p in _type1_rays(h)], n)]
+    # `all_horn_data` lists the data in ascending d
+    for d, hs in groupby(data, key=lambda h: h.d):
+        pool.append(_facet_images(list(hs), _smaller_rays(d, r, s, kind)))
     if kind == "EqLR":
         pool.append(_rows(enumerate_rays(r, s, "LR"), n))
-    return _unique_rows(_primitive_rows(np.concatenate(pool)))[0]
+    # rebound at each step, so that the list, and then each copy, is freed
+    # as soon as the next one is made
+    pool = np.concatenate(pool)
+    pool = _primitive_rows(pool)
+    return _unique_rows(pool)[0]
 
 
 def enumerate_rays(r, s, kind):

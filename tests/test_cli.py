@@ -149,6 +149,9 @@ ROW20K = ",".join(["0"] * 20000)
     (["hilbert", "--r", "2", "--bound", "1", "--kind", "c"], False),
     (["hilbert", "--r", "2", "--bound", "1", "--kind", "eqc"], False),
     (["tables", "--which", "ray-counts", "--max-r", "2", "--s", "6"], True),
+    # a table with no rows, as rays and hilbert refuse --r 0
+    (["tables", "--which", "ray-counts", "--max-r", "0"], False),
+    (["tables", "--which", "hilbert-counts", "--max-r", "-1"], False),
     # within the r and s ceilings, over the Horn work ceiling
     (["horn", "--r", "7", "--d", "3", "--s", "5"], False),
     (["horn", "--r", "12", "--d", "6"], False),

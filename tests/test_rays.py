@@ -151,13 +151,15 @@ def small_stacks(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_stacks())
 def test_ranks_mod_p_match_exact_rank(mats):
-    ranks = rays._ranks_mod_p(np.array(mats, dtype=np.int64))
-    assert ranks.tolist() == [exact_rank(m) for m in mats]
+    # no minor vanishes mod p: a matrix has full rank mod p exactly when it
+    # has full rank over Q
+    full = rays._nonsingular_mod_p(np.array(mats, dtype=np.int64))
+    assert full.tolist() == [exact_rank(m) == len(m) for m in mats]
     with pytest.MonkeyPatch.context() as mp:
         # every rank mod a prime is at most the rank over Q
         mp.setattr(rays, "RANK_MODULUS", 3)
-        low = rays._ranks_mod_p(np.array(mats, dtype=np.int64))
-    assert (low <= ranks).all()
+        low = rays._nonsingular_mod_p(np.array(mats, dtype=np.int64))
+    assert not (low & ~full).any()
 
 
 P = rays.RANK_MODULUS
@@ -171,10 +173,15 @@ P = rays.RANK_MODULUS
     ([(1, 1, 0), (1, 1 + P, 0), (0, 0, 0)], 1, 2),
     # negative entries are reduced to [0, p) first
     ([(-P, 1, 0), (0, -1, 0), (0, 0, -P - 1)], 2, 3),
+    # a determinant equal to p
+    ([(1, 1, 0), (1, 1 + P, 0), (0, 0, 1)], 2, 3),
+    # products of the largest residue, p - 1, are below 2**52 and exact
+    ([(P - 1, 1, 0), (0, P - 1, 0), (0, 0, -1)], 3, 3),
 ])
 def test_ranks_mod_p_hand_cases(mat, mod_p, over_q):
     assert exact_rank(mat) == over_q
-    assert rays._ranks_mod_p(np.array([mat], dtype=np.int64)).tolist() == [mod_p]
+    full = rays._nonsingular_mod_p(np.array([mat], dtype=np.int64))
+    assert full.tolist() == [mod_p == len(mat)]
 
 
 @pytest.mark.parametrize("a, b", [
@@ -558,21 +565,22 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
 
 
 def counting_ranks(monkeypatch):
-    """Record, per call of the batched rank mod p, the rows given and how
-    many fell short of rs - 1, and every matrix given to `exact_rank`."""
+    """Record, per call of the batched test mod p, the rows given and how
+    many fell short of rs - 1 (G + v v^T singular mod p), and every matrix
+    given to `exact_rank`."""
     batched, calls = [], []
-    ranks_mod_p = rays._ranks_mod_p
+    nonsingular_mod_p = rays._nonsingular_mod_p
 
     def batched_counting(mats):
-        ranks = ranks_mod_p(mats)
-        batched.append((len(mats), int((ranks < mats.shape[1] - 1).sum())))
-        return ranks
+        full = nonsingular_mod_p(mats)
+        batched.append((len(mats), int((~full).sum())))
+        return full
 
     def exact_counting(rows):
         calls.append(rows)
         return exact_rank(rows)
 
-    monkeypatch.setattr(rays, "_ranks_mod_p", batched_counting)
+    monkeypatch.setattr(rays, "_nonsingular_mod_p", batched_counting)
     monkeypatch.setattr(rays, "exact_rank", exact_counting)
     return batched, calls
 
@@ -584,7 +592,7 @@ def test_each_candidate_certified_once(monkeypatch):
     assert len(enumerate_rays(3, 3, "EqLR")) == 27
     # the cones computed on the way: LR and EqLR at r = 1, 2, 3
     cones = [(r, 3, kind) for r in (1, 2, 3) for kind in ("LR", "EqLR")]
-    # one rank mod p per distinct tight set the filter passes, which is
+    # one test mod p per distinct tight set the filter passes, which is
     # fewer than the distinct candidates, and one exact rank per shortfall
     given = sum(rows for rows, _ in batched)
     assert given == sum(reference_survivors(*c) for c in cones)
@@ -618,6 +626,30 @@ def test_rank_alone_decides_one_row_pools(monkeypatch, modulus):
     assert extremal.count(False) > 100
     assert [rays._extremal(np.array([flatten(p)]), 3, 3, "EqLR")[0]
             for p in decided] == extremal
+
+
+def test_full_rank_reduces_rows_before_their_outer_product():
+    # the rows of the reference pool at (3,3,EqLR), extremal or not, times
+    # c = 2**31 + 1: c is nonzero mod p and c * row has the tight forms of
+    # row, so the mask is the same; c**2 * x * y passes 2**63 once x * y >= 2,
+    # so a v v^T formed before v is reduced mod p would wrap in int64
+    pool = np.array(sorted(flatten(p) for p in reference_pool(3, 3, "EqLR")))
+    system = inequality_system(3, 3, "EqLR")
+    bits = rays._tight_sets(pool, system)[0]
+    mask = rays._full_rank(pool, bits, system)
+    assert mask.any() and not mask.all()
+    assert (rays._full_rank(pool * (2**31 + 1), bits, system) == mask).all()
+
+
+def test_residues_stay_in_range():
+    # x = q p + e near 0 and near the 2**52 bound, where x / p is largest
+    p = rays.RANK_MODULUS
+    q = np.concatenate([np.arange(-2**26 + 1, -2**26 + 2**12),
+                        np.arange(-2**12, 2**12), np.arange(2**26 - 2**12, 2**26)])
+    for e in (-1, 0, 1):
+        x = q * p + e
+        x = x[np.abs(x) < 2**52]
+        assert (rays._mod_p(x.astype(np.float64), float(p)) == x % p).all()
 
 
 def _corrupt(payload, how):
@@ -752,6 +784,16 @@ def test_induction_matrix_is_ind_hat(r):
             for b in (zero_point(r - h.d, 3),) + enumerate_rays(r - h.d, 3, "EqLR"):
                 z = np.array(flatten(a) + flatten(b), dtype=np.int64)
                 assert tuple((m @ z).tolist()) == flatten(ind_hat(a, b, h))
+    # the images of a group of facets that share d: one block per facet,
+    # in the order of the group
+    for d in range(1, r):
+        hs = enumerate_horn(r, 3, d)
+        rows = rays._smaller_rays(d, r, 3, "EqLR")
+        blocks = rays._facet_images(hs, rows).reshape(len(hs), len(rows), -1)
+        for h, block in zip(hs, blocks):
+            for z, image in zip(rows.tolist(), block.tolist()):
+                a, b = unflatten(z[:d * 3], d), unflatten(z[d * 3:], r - d)
+                assert tuple(image) == flatten(ind_hat(a, b, h)), (h, z)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
